@@ -52,7 +52,9 @@ def build_parser():
                     help="jackknife block count (default 100)")
     an.add_argument("--fit-filter", type=float, default=None, metavar="S",
                     help="also drop |cc| <= S*sigma points from fits")
-    an.add_argument("--workers", type=int, default=1)
+    an.add_argument("--workers", type=int, default=1,
+                    help="threads for the CC sweep over powers; results "
+                         "are identical for any value")
     an.add_argument("--out-dir", required=True)
 
     sy = sub.add_parser("synth", help="emit a synthetic tick CSV")

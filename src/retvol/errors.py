@@ -44,6 +44,10 @@ class ConfigInvalid(RetvolError):
     """A configuration object violates its invariants."""
 
 
+class NonPositiveSigma(RetvolError, ValueError):
+    """A fit point carries sigma <= 0, e.g. an exactly zero jackknife sigma."""
+
+
 class InsufficientPoints(RetvolError):
     """Too few points inside the fit range."""
 

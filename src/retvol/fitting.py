@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (InsufficientPoints, MissingSigmas, NoConvergence,
-                     NonPositiveData, RangeMismatch, SingularNormalMatrix,
-                     WrongModel)
+                     NonPositiveData, NonPositiveSigma, RangeMismatch,
+                     SingularNormalMatrix, WrongModel)
 
 POWER_LAW = "power_law"
 EXPONENTIAL = "exponential"
@@ -50,7 +50,7 @@ class FitPoint:
 
     def __post_init__(self):
         if not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+            raise NonPositiveSigma(f"sigma must be > 0, got {self.sigma}")
 
 
 @dataclass
@@ -68,7 +68,7 @@ class FitPoints:
         if not (len(self.x) == len(self.y) == len(self.sigma)):
             raise ValueError("x, y, sigma must have equal length")
         if np.any(self.sigma <= 0):
-            raise ValueError("all sigmas must be > 0")
+            raise NonPositiveSigma("all sigmas must be > 0")
 
     def __len__(self):
         return len(self.x)

@@ -9,7 +9,7 @@ import scipy
 from . import __version__
 from .crosscorr import power_grid, sweep_powers
 from .errors import (InsufficientPoints, NoConvergence, NonPositiveData,
-                     RetvolError)
+                     NonPositiveSigma, RetvolError)
 from .fitting import (FitPoints, compare_models, fit_exponential,
                       fit_points_from_profile, fit_power_law,
                       fit_quadratic_gamma, long_range_flag)
@@ -20,8 +20,16 @@ from .returns import apply_gap_policy, log_returns, standardize
 from .sampling import CARRY_FORWARD, resample
 
 
+# a fit that fails this way leaves only that fit unavailable
+_FIT_FAILURES = (InsufficientPoints, NonPositiveData, NonPositiveSigma,
+                 NoConvergence)
+
+
 @dataclass
 class AnalysisConfig:
+    """Analysis grid and settings; `workers` threads the CC sweep over
+    powers and never changes a result."""
+
     delta_t: int = 120
     gap_policy: str = CARRY_FORWARD
     d_grid: list = field(default_factory=power_grid)
@@ -69,14 +77,18 @@ def analyze_ticks(ticks, cfg=AnalysisConfig()):
             points = fit_points_from_profile(prof, cfg.fit_lo, cfg.fit_hi,
                                              sigma_filter=cfg.fit_filter)
             pf = fit_power_law(points, (cfg.fit_lo, cfg.fit_hi))
-            ef = fit_exponential(points, (cfg.fit_lo, cfg.fit_hi))
-        except (InsufficientPoints, NonPositiveData, NoConvergence):
+        except _FIT_FAILURES:
             power_fits[d] = None
             continue
         power_fits[d] = pf
+        long_range[d] = long_range_flag(pf)
+        # a failed exponential fit drops only itself and the comparison
+        try:
+            ef = fit_exponential(points, (cfg.fit_lo, cfg.fit_hi))
+        except _FIT_FAILURES:
+            continue
         exp_fits[d] = ef
         comparisons[d] = compare_models(pf, ef)
-        long_range[d] = long_range_flag(pf)
 
     quad = None
     usable = [(d, f) for d, f in sorted(power_fits.items()) if f is not None

@@ -53,6 +53,21 @@ def test_matches_naive_oracle():
     assert np.all(got >= 0)
 
 
+@pytest.mark.parametrize("seed,n,blocks,d,lags", [
+    # blocks of 50 points against lags reaching over two blocks each way
+    (81, 1000, 20, 2.0, list(range(-120, 121))),
+    # uneven blocks of 143 and 144 points
+    (82, 1003, 7, 0.5, list(range(-30, 31))),
+    # a non-contiguous lag set without 0
+    (83, 1000, 10, 3.0, [-7, 3, 40]),
+])
+def test_engine_matches_oracle(seed, n, blocks, d, lags):
+    nr = normalized(seed, n)
+    got = jackknife_sigma(nr, d, lags, JackknifeConfig(blocks))
+    want = oracle_jackknife_sigma(nr.values, d, lags, blocks)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
 def test_deterministic_across_workers():
     nr = normalized(78, 4000)
     lags = np.arange(-20, 21)
@@ -82,6 +97,22 @@ def test_degenerate_leave_one_out_subseries():
     nr = NormalizedReturns(vals, 0.0, 1.0)
     with pytest.raises(errors.DegenerateVariance):
         jackknife_sigma(nr, 2.0, [0, 1], JackknifeConfig(4))
+
+
+def test_inexact_constant_leave_one_out_subseries():
+    # 0.1 is not representable: rounding alone need not give a zero variance
+    vals = np.full(400, 0.1)
+    vals[120:180] = standard_normals(84, 60)
+    nr = NormalizedReturns(vals, 0.0, 1.0)
+    with pytest.raises(errors.DegenerateVariance):
+        jackknife_sigma(nr, 1.5, [-3, 0, 2], JackknifeConfig(4))
+
+
+def test_lag_out_of_range_in_reduced_series():
+    # 105 pairs at lag 295 in the full series, but 5 once a block is deleted
+    nr = normalized(85, 400)
+    with pytest.raises(errors.LagOutOfRange):
+        jackknife_sigma(nr, 2.0, [0, 295], JackknifeConfig(4))
 
 
 def test_profile_and_sweep_attachment():

@@ -1,6 +1,11 @@
 import numpy as np
 
+from retvol import pipeline
+from retvol.errors import NoConvergence
+from retvol.ingest import TickSeries
 from retvol.pipeline import AnalysisConfig, analyze_ticks
+from retvol.report import write_report
+from retvol.rng import standard_normals
 from retvol.sampling import DROP_INTERVAL
 from retvol.synth import GarchSpec, gen_asym_garch, ticks_from_returns
 
@@ -56,3 +61,30 @@ def test_leverage_visible_through_full_pipeline():
     assert abs(prof.values[k]) > 3 * prof.sigmas[k]
     assert report.argmax_kappa_d is not None
     assert report.long_range  # power-law exponents were computed
+
+
+def test_failed_exponential_fit_keeps_power_law(monkeypatch):
+    def no_convergence(points, fit_range):
+        raise NoConvergence("forced failure")
+
+    monkeypatch.setattr(pipeline, "fit_exponential", no_convergence)
+    report = analyze_ticks(garch_ticks(), small_cfg())
+    for d in (1.0, 2.0):
+        assert report.power_fits[d] is not None
+        assert d in report.long_range
+        assert d not in report.exp_fits and d not in report.comparisons
+
+
+def test_zero_jackknife_sigma_marks_d_unavailable(tmp_path):
+    # a price path repeating once per jackknife block leaves the same
+    # reduced series whichever block is deleted: every sigma is exactly 0
+    blocks, block_len = 20, 60
+    base = 100.0 * np.exp(0.002 * np.cumsum(standard_normals(3, block_len)))
+    prices = np.append(np.tile(base, blocks), base[0])
+    times = 1_420_848_000 + 120 * np.arange(len(prices), dtype=np.int64)
+    ticks = TickSeries(times, prices, np.ones(len(prices)))
+    report = analyze_ticks(ticks, small_cfg(jk_blocks=blocks))
+    assert all(np.all(p.sigmas == 0.0) for p in report.sweep.profiles)
+    assert report.power_fits == {1.0: None, 2.0: None}
+    assert report.quadratic_fit is None and report.argmax_kappa_d is None
+    assert write_report(report, tmp_path)["argmax_kappa_d"] is None
