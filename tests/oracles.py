@@ -4,6 +4,7 @@ Everything here is deliberately written with plain Python loops and
 math.fsum, sharing no code with the library paths it checks.
 """
 
+import io
 import math
 
 import numpy as np
@@ -48,3 +49,63 @@ def oracle_weighted_quadratic(x, y, sigma):
     coef, *_ = np.linalg.lstsq(design * w[:, None], np.asarray(y, float) * w,
                                rcond=None)
     return coef
+
+
+def oracle_parse_tick_csv(stream, strictness="strict"):
+    """Line-at-a-time tick CSV parse: (timestamps, prices, volumes, n_skipped).
+
+    Byte streams are decoded as ASCII with replacement and universal
+    newlines; text streams are iterated as they come. Strict mode
+    raises the library's error types for the first bad line.
+    """
+    from retvol.errors import EmptyInput, MalformedLine, NonPositivePrice
+
+    if isinstance(stream.read(0), bytes):
+        stream = io.TextIOWrapper(stream, encoding="ascii", errors="replace")
+    strict = strictness == "strict"
+    ts, ps, vs = [], [], []
+    skipped = 0
+    for line_no, line in enumerate(stream, start=1):
+        parts = line.rstrip("\r\n").split(",")
+        try:
+            if len(parts) != 3:
+                raise MalformedLine(line_no,
+                                    f"expected 3 fields, got {len(parts)}")
+            try:
+                t = int(parts[0])
+                p = float(parts[1])
+                v = float(parts[2])
+            except ValueError:
+                raise MalformedLine(line_no, "non-numeric field") from None
+            if not (math.isfinite(p) and math.isfinite(v)) or v < 0:
+                raise MalformedLine(line_no,
+                                    "non-finite value or negative volume")
+            if p <= 0:
+                raise NonPositivePrice(line_no)
+            if not -2**63 <= t < 2**63:
+                raise MalformedLine(line_no,
+                                    "timestamp outside the int64 range")
+        except (MalformedLine, NonPositivePrice):
+            if strict:
+                raise
+            skipped += 1
+            continue
+        ts.append(t)
+        ps.append(p)
+        vs.append(v)
+    if not ts:
+        raise EmptyInput("no valid tick records in input")
+    t_arr = np.array(ts, dtype=np.int64)
+    order = np.argsort(t_arr, kind="stable")
+    return (t_arr[order], np.array(ps, dtype=np.float64)[order],
+            np.array(vs, dtype=np.float64)[order], skipped)
+
+
+def oracle_deduplicate(timestamps, prices, volumes):
+    """Indices kept by collapsing exact (t, p, v) duplicates over the
+    whole series, first occurrence kept, in their original order."""
+    rows = np.empty(len(timestamps), dtype=[("t", np.int64), ("p", np.float64),
+                                            ("v", np.float64)])
+    rows["t"], rows["p"], rows["v"] = timestamps, prices, volumes
+    _, first_idx = np.unique(rows, return_index=True)
+    return np.sort(first_idx)

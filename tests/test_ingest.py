@@ -138,3 +138,28 @@ def test_tick_record_invariants():
         TickRecord(0, -1.0, 0.0)
     with pytest.raises(ValueError):
         TickRecord(0, 1.0, -0.5)
+
+
+def test_timestamp_beyond_int64_is_a_malformed_line():
+    text = "10,1.0,1\n99999999999999999999,1.0,1\n20,2.0,1\n"
+    with pytest.raises(errors.MalformedLine) as exc:
+        parse(text)
+    assert exc.value.line_no == 2
+    ts = parse(text, strictness="lenient")
+    assert list(ts.timestamps) == [10, 20]
+    assert ts.n_skipped == 1
+
+
+@pytest.mark.parametrize("block", [2, 1 << 16])
+def test_serialize_matches_per_row_formatting(monkeypatch, block):
+    import retvol.ingest
+    monkeypatch.setattr(retvol.ingest, "_SERIALIZE_ROWS", block)
+    values = np.array([1e-05, 1e16, 100.0, 2.5e-310, 5e-324, 0.1, 1.0 / 3])
+    ticks = TickSeries(np.arange(len(values), dtype=np.int64) - 3, values,
+                       values[::-1].copy())
+    buf = io.StringIO()
+    serialize_tick_csv(ticks, buf)
+    want = "".join(f"{ticks.timestamps[i]},{float(ticks.prices[i])!r},"
+                   f"{float(ticks.volumes[i])!r}\n" for i in range(len(ticks)))
+    assert buf.getvalue() == want
+    assert "1e-05" in want and "1e+16" in want and "5e-324" in want
