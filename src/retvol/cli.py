@@ -53,8 +53,8 @@ def build_parser():
     an.add_argument("--fit-filter", type=float, default=None, metavar="S",
                     help="also drop |cc| <= S*sigma points from fits")
     an.add_argument("--workers", type=int, default=1,
-                    help="threads for the CC sweep over powers; results "
-                         "are identical for any value")
+                    help="threads for the CC and jackknife pass over "
+                         "powers; results are identical for any value")
     an.add_argument("--out-dir", required=True)
 
     sy = sub.add_parser("synth", help="emit a synthetic tick CSV")

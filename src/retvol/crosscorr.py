@@ -16,7 +16,6 @@ definition, which is the normative reference (tests enforce 1e-10).
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +31,13 @@ MIN_PAIRS = 10
 class CorrelationProfile:
     """CC_d(j) over a lag grid for one power d.
 
-    sigmas is None until jackknife error estimation fills it.
+    values is None until a sweep fills it (see `sweep_grid`), and
+    sigmas until jackknife error estimation does.
     """
 
     d: float
     lags: np.ndarray
-    values: np.ndarray
+    values: np.ndarray | None
     pair_counts: np.ndarray
     sigmas: np.ndarray | None = None
 
@@ -204,11 +204,12 @@ def correlation_profile(r, d, lag_min, lag_max, method="auto"):
     return CorrelationProfile(float(d), lags, values, pairs)
 
 
-def sweep_powers(r, d_grid, lag_min, lag_max, workers=1, method="auto"):
-    """One correlation profile per power d, over a shared lag grid.
+def sweep_grid(r, d_grid, lag_min, lag_max):
+    """The profiles of a power sweep before anything is computed.
 
-    The d-values are independent tasks; results are deterministic and
-    identical for any `workers` count.
+    Checks the d grid (positive, strictly increasing) and the lag range
+    (straddles 0, >= 10 pairs at every lag) and returns a SweepResult
+    whose profiles carry their pair counts, with values and sigmas None.
     """
     d_grid = [float(d) for d in d_grid]
     if not d_grid:
@@ -217,13 +218,23 @@ def sweep_powers(r, d_grid, lag_min, lag_max, workers=1, method="auto"):
         raise ValueError("powers must be positive")
     if any(b <= a for a, b in zip(d_grid, d_grid[1:])):
         raise ValueError("d grid must be strictly increasing")
+    if not (lag_min <= 0 <= lag_max):
+        raise ValueError("lag range must contain 0")
+    lags, pairs = _check_lags(len(r), np.arange(lag_min, lag_max + 1))
+    return SweepResult(np.asarray(d_grid), [
+        CorrelationProfile(d, lags, None, pairs) for d in d_grid])
 
-    def one(d):
-        return correlation_profile(r, d, lag_min, lag_max, method=method)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            profiles = list(pool.map(one, d_grid))
-    else:
-        profiles = [one(d) for d in d_grid]
-    return SweepResult(np.asarray(d_grid), profiles)
+def sweep_powers(r, d_grid, lag_min, lag_max, workers=1, method="auto"):
+    """One correlation profile per power d, over a shared lag grid.
+
+    Every power is correlated with the same centred returns, whose
+    transform is computed once. `workers` is accepted for compatibility
+    and changes nothing.
+    """
+    sweep = sweep_grid(r, d_grid, lag_min, lag_max)
+    kernel = _LagKernel(r.values, sweep.profiles[0].lags, method=method)
+    return SweepResult(sweep.d_grid, [
+        CorrelationProfile(p.d, p.lags, kernel.values(abs_power(r, p.d).values),
+                           p.pair_counts)
+        for p in sweep.profiles])

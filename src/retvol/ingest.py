@@ -6,8 +6,9 @@ with exactly two commas, no byte outside `0-9 . e E + -`, three
 non-empty fields and a timestamp of at most 18 plain digits is parsed
 together with the chunk's other such lines by one `np.loadtxt` call,
 and its values are checked vectorized. Every other line goes through
-`_parse_line`, which states the rules, and so does every line of a
-chunk that `np.loadtxt` rejects (as it does `10,1e,1`). Either path
+`_parse_line`, which states the rules, and so does every line that
+`np.loadtxt` rejects (as it does `10,1e,1`), found by halving the
+rejected lines of a chunk. Either path
 gives a line the same record, skip or strict-mode error. Files and
 byte streams are read as ASCII (a non-ASCII byte becomes U+FFFD) with
 universal newlines; text streams are split on "\n" only. Records come
@@ -174,6 +175,26 @@ def _fast_lines(a, starts, ends):
     return fast
 
 
+def _load_records(text, offsets, lo, hi):
+    """Parse lines lo..hi-1 of `text` (line i spans offsets[i:i+2]).
+
+    Returns the record arrays of the lines `np.loadtxt` accepts, in
+    order, and the numbers of the lines it rejects. A rejected range is
+    halved until the rejecting lines are found.
+    """
+    try:
+        return [np.loadtxt(io.BytesIO(text[offsets[lo]:offsets[hi]]),
+                           dtype=_RECORD, delimiter=",", comments=None,
+                           ndmin=1)], []
+    except ValueError:
+        if hi - lo == 1:
+            return [], [lo]
+    mid = (lo + hi) // 2
+    head, bad_head = _load_records(text, offsets, lo, mid)
+    tail, bad_tail = _load_records(text, offsets, mid, hi)
+    return head + tail, bad_head + bad_tail
+
+
 def _parse_chunk(chunk, codec, strict, line_no):
     """Parse a piece of whole lines whose first line is number `line_no`.
 
@@ -195,13 +216,14 @@ def _parse_chunk(chunk, codec, strict, line_no):
             pieces.append(view[prev:starts[i]])
             prev = ends[i] + 1
         pieces.append(view[prev:])
-        try:
-            rec = np.loadtxt(io.BytesIO(b"".join(pieces)), dtype=_RECORD,
-                             delimiter=",", comments=None, ndmin=1)
-        except ValueError:
-            # e.g. "10,1e,1": the whole chunk takes the per-line path
-            fast[:] = False
-            slow = np.arange(n)
+        idx = np.flatnonzero(fast)
+        offsets = np.concatenate(([0], np.cumsum(ends[idx] - starts[idx] + 1)))
+        parts, rejected = _load_records(b"".join(pieces), offsets, 0, len(idx))
+        rec = np.concatenate([rec, *parts])
+        if rejected:
+            # e.g. "10,1e,1": only the lines np.loadtxt rejects go per line
+            fast[idx[rejected]] = False
+            slow = np.flatnonzero(~fast)
 
     t = np.empty(n, dtype=np.int64)
     p = np.empty(n, dtype=np.float64)

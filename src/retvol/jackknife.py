@@ -18,8 +18,17 @@ one window at a time in reduced-series order, reusing the sequential
 prefix of the windows before b, so identical reduced series give
 bit-identical thetas. Work and memory per power grow as
 N + B * max|lag|, against B * N for recomputing every reduced series.
+
+The same pass yields CC_d(j) itself: the full-series windows, summed in
+series order, are the full-series lag sums, scaled by the global
+moments. Powers are independent, so `workers` threads each take one
+power at a time; results come back in grid order and do not depend on
+the thread count, but peak memory grows with it, one power's windows
+per thread.
 """
 
+import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,9 +148,9 @@ class _Deletions:
         """Moments of every reduced series of v, built from per-block ones.
 
         Returns v shifted by its full-series mean with a 0 appended, the
-        reduced sums, means and population sigmas (B,), and the sums of
-        the first and of the last i points of each reduced series
-        (B, max|lag| + 1).
+        full-series population sigma, the reduced sums, means and
+        population sigmas (B,), and the sums of the first and of the last
+        i points of each reduced series (B, max|lag| + 1).
         """
         other = ~np.eye(len(self.starts), dtype=bool)
         lo = np.minimum.reduceat(v, self.starts)
@@ -151,6 +160,8 @@ class _Deletions:
             raise DegenerateVariance("series is constant")
 
         v = v - v.mean()
+        # the global moment of `_centered`, which the CC values use
+        sd = math.sqrt(float(np.mean(v * v)))
         s = np.add.reduceat(v, self.starts)
         mu_k = s / self.lens
         dev = v - np.repeat(mu_k, self.lens)
@@ -161,17 +172,18 @@ class _Deletions:
         mu = total / self.m
         ss = np.cumsum(np.where(other, m2 + self.lens * (mu_k - mu[:, None]) ** 2,
                                 0.0), axis=1)[:, -1]
-        if np.any(ss == 0.0):
+        if sd == 0.0 or np.any(ss == 0.0):
             raise DegenerateVariance("series has zero variance")
 
         v = np.append(v, 0.0)
         zero = np.zeros((len(self.starts), 1))
         head = np.hstack((zero, np.cumsum(v[self.head_idx], axis=1)))
         tail = np.hstack((zero, np.cumsum(v[self.tail_idx], axis=1)))
-        return v, total, mu, np.sqrt(ss / self.m), head, tail
+        return v, sd, total, mu, np.sqrt(ss / self.m), head, tail
 
     def in_reduced_order(self, rows):
-        """Per deletion b, the sum of its windows' rows (rows, lags)."""
+        """The full-series sum of the window rows (lags,), and per
+        deletion b the sum of its windows' rows (B, lags)."""
         lead = np.cumsum(rows[:self.n_seg], axis=0)
         acc = np.where((self.lead > 0)[:, None], lead[self.lead - 1], 0.0)
         for col in self.spliced.T:
@@ -179,7 +191,7 @@ class _Deletions:
             acc[has] += rows[col[has]]
         for t, n_b in enumerate(self.before):
             acc[:n_b] += rows[t]
-        return acc
+        return lead[-1], acc
 
 
 def _sigma_from_thetas(thetas):
@@ -191,28 +203,37 @@ def _sigma_from_thetas(thetas):
     return np.sqrt((nb - 1) / nb * np.sum(dev * dev, axis=0))
 
 
-def _sigmas(r, ds, lags, cfg):
-    """Jackknife sigmas (len(ds), len(lags)) of CC_d(j) for every d in ds."""
+def _sweep(r, ds, lags, cfg, workers=1):
+    """CC_d(j) and its jackknife sigma, each (len(ds), len(lags)), per d in ds."""
     x = np.asarray(r.values, dtype=np.float64)
     cfg.validate_for(len(x))
     dl = _Deletions(len(x), cfg.n_blocks, lags)
     cut, fwd = np.abs(dl.lags), dl.lags > 0
+    full_pairs = len(x) - cut
 
-    x, tx, mx, sx, xhead, xtail = dl.moments(x)
+    x, sdx, tx, mx, sx, xhead, xtail = dl.moments(x)
     x_spec = np.conj(_fft.rfft(x[dl.x_idx]))
     # the pairs at lag j leave out the last (j > 0) or first |j| returns
     sum_x = tx[:, None] - np.where(fwd, xtail[:, cut], xhead[:, cut])
-    out = []
-    # one power at a time: peak memory does not grow with the d grid
-    for d in ds:
-        y, ty, my, sy, yhead, ytail = dl.moments(abs_power(r, d).values)
+
+    def one(d):
+        y, sdy, ty, my, sy, yhead, ytail = dl.moments(abs_power(r, d).values)
         windows = _fft.irfft(_fft.rfft(y[dl.y_idx]) * x_spec,
                              dl.nfft)[:, dl.lags % dl.nfft]
         sum_y = ty[:, None] - np.where(fwd, yhead[:, cut], ytail[:, cut])
-        cov = (dl.in_reduced_order(windows) - my[:, None] * sum_x
+        full, reduced = dl.in_reduced_order(windows)
+        cov = (reduced - my[:, None] * sum_x
                - mx[:, None] * sum_y + dl.pairs * (mx * my)[:, None])
-        out.append(_sigma_from_thetas(cov / dl.pairs / (sx * sy)[:, None]))
-    return np.array(out)
+        return (full / full_pairs / (sdx * sdy),
+                _sigma_from_thetas(cov / dl.pairs / (sx * sy)[:, None]))
+
+    if workers > 1 and len(ds) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            out = list(pool.map(one, ds))
+    else:
+        out = [one(d) for d in ds]
+    values, sigmas = zip(*out)
+    return np.array(values), np.array(sigmas)
 
 
 def jackknife_sigma(r, d, lags, cfg=JackknifeConfig(), workers=1):
@@ -232,15 +253,16 @@ def jackknife_sigma(r, d, lags, cfg=JackknifeConfig(), workers=1):
         Signed lags, same convention as `cross_correlation`.
     cfg : JackknifeConfig
     workers : int
-        Accepted for compatibility; the computation is single-threaded
-        and the result is identical for any value.
+        Accepted for compatibility: a single power runs on one thread
+        (`sweep_with_sigmas` spreads powers over threads), and the
+        result is identical for any value.
 
     Returns
     -------
     numpy.ndarray
         sigma(j) >= 0 aligned with `lags`.
     """
-    return _sigmas(r, [float(d)], lags, cfg)[0]
+    return _sweep(r, [float(d)], lags, cfg)[1][0]
 
 
 def profile_with_sigmas(r, profile, cfg=JackknifeConfig()):
@@ -251,13 +273,17 @@ def profile_with_sigmas(r, profile, cfg=JackknifeConfig()):
 
 
 def sweep_with_sigmas(r, sweep, cfg=JackknifeConfig(), workers=1):
-    """Jackknife sigmas for every profile of a power sweep.
+    """CC values and jackknife sigmas for every profile of a power sweep.
 
-    Each profile's sigmas equal `jackknife_sigma` at its power bit for
-    bit; `workers` is accepted for compatibility and changes nothing.
+    One pass per power gives both. Values already on a profile are
+    kept; missing ones (None, as `sweep_grid` leaves them) are filled
+    and agree with `sweep_powers` to rounding. Each profile's sigmas
+    equal `jackknife_sigma` at its power bit for bit. The powers are
+    spread over `workers` threads, which changes no result.
     """
-    sigmas = _sigmas(r, [p.d for p in sweep.profiles],
-                     sweep.profiles[0].lags, cfg)
+    values, sigmas = _sweep(r, [p.d for p in sweep.profiles],
+                            sweep.profiles[0].lags, cfg, workers)
     return SweepResult(sweep.d_grid, [
-        CorrelationProfile(p.d, p.lags, p.values, p.pair_counts, sigmas=s)
-        for p, s in zip(sweep.profiles, sigmas)])
+        CorrelationProfile(p.d, p.lags, v if p.values is None else p.values,
+                           p.pair_counts, sigmas=s)
+        for p, v, s in zip(sweep.profiles, values, sigmas)])

@@ -7,9 +7,10 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .crosscorr import power_grid, sweep_powers
-from .errors import (InsufficientPoints, NoConvergence, NonPositiveData,
-                     NonPositiveSigma, RetvolError)
+from .crosscorr import power_grid, sweep_grid, sweep_powers
+from .errors import (ConfigInvalid, InsufficientPoints, LagOutOfRange,
+                     NoConvergence, NonPositiveData, NonPositiveSigma,
+                     RetvolError)
 from .fitting import (FitPoints, compare_models, fit_exponential,
                       fit_points_from_profile, fit_power_law,
                       fit_quadratic_gamma, long_range_flag)
@@ -27,8 +28,8 @@ _FIT_FAILURES = (InsufficientPoints, NonPositiveData, NonPositiveSigma,
 
 @dataclass
 class AnalysisConfig:
-    """Analysis grid and settings; `workers` threads the CC sweep over
-    powers and never changes a result."""
+    """Analysis grid and settings; `workers` threads the CC and jackknife
+    pass over powers and never changes a result."""
 
     delta_t: int = 120
     gap_policy: str = CARRY_FORWARD
@@ -65,10 +66,15 @@ def analyze_ticks(ticks, cfg=AnalysisConfig()):
     rets = apply_gap_policy(log_returns(prices))
     r = standardize(rets)
 
-    sweep = sweep_powers(r, cfg.d_grid, cfg.lag_min, cfg.lag_max,
-                         workers=cfg.workers)
-    jk = JackknifeConfig(n_blocks=cfg.jk_blocks)
-    sweep = sweep_with_sigmas(r, sweep, cfg=jk, workers=cfg.workers)
+    sweep = sweep_grid(r, cfg.d_grid, cfg.lag_min, cfg.lag_max)
+    try:
+        jk = JackknifeConfig(n_blocks=cfg.jk_blocks)
+        sweep = sweep_with_sigmas(r, sweep, cfg=jk, workers=cfg.workers)
+    except (ConfigInvalid, LagOutOfRange):
+        # a constant full series is reported before a block count or a
+        # lag range that only the deletions rule out
+        sweep_powers(r, cfg.d_grid, cfg.lag_min, cfg.lag_max)
+        raise
 
     power_fits, exp_fits, comparisons, long_range = {}, {}, {}, {}
     for prof in sweep.profiles:

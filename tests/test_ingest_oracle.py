@@ -215,3 +215,20 @@ def test_dedup_unsorted_input_matches_oracle():
     t = rng.integers(0, 50, 500).astype(np.int64)
     ticks = TickSeries(t, rng.choice([1.0, 2.0], 500), np.ones(500))
     dedup_matches_oracle(ticks)
+
+
+@pytest.mark.parametrize("strictness", ["lenient", "strict"])
+def test_loadtxt_rejects_are_bisected_to_their_lines(monkeypatch, strictness):
+    # "10,1e,1" passes the classifier but not np.loadtxt: only such lines,
+    # not the rest of their chunk, take the per-line path
+    monkeypatch.setattr(ingest, "CHUNK_BYTES", 1 << 15)
+    n = 10_000
+    lines = [f"{1_420_000_000 + t},{1.5 + t % 7},0.25" for t in range(n)]
+    for pos in (1_000, 7_000):
+        lines[pos] = "10,1e,1"
+    data = ("\n".join(lines) + "\n").encode("ascii")
+    assert len(data) > 4 * ingest.CHUNK_BYTES
+    want = outcome(oracle_parse_tick_csv, lambda: io.BytesIO(data), strictness)
+    calls = count_per_line_calls(monkeypatch)
+    assert outcome(library, lambda: io.BytesIO(data), strictness) == want
+    assert calls == ([1_001, 7_001] if strictness == "lenient" else [1_001])

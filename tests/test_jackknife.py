@@ -5,7 +5,7 @@ from oracles import oracle_jackknife_sigma
 from retvol import errors
 from retvol.jackknife import (JackknifeConfig, block_bounds, jackknife_sigma,
                               profile_with_sigmas, sweep_with_sigmas)
-from retvol.crosscorr import correlation_profile, sweep_powers
+from retvol.crosscorr import correlation_profile, sweep_grid, sweep_powers
 from retvol.returns import NormalizedReturns, ReturnSeries, standardize
 from retvol.rng import standard_normals
 
@@ -137,3 +137,21 @@ def test_sweep_sigma_workers_bit_identical():
     b = sweep_with_sigmas(nr, sweep, JackknifeConfig(25), workers=4)
     for pa, pb in zip(a.profiles, b.profiles):
         assert np.array_equal(pa.sigmas, pb.sigmas)
+
+
+def test_sweep_with_sigmas_keeps_given_values_and_fills_missing_ones():
+    nr = normalized(86, 3000)
+    given = sweep_powers(nr, [0.5, 2.0, 3.0], -40, 40)
+    kept = sweep_with_sigmas(nr, given, JackknifeConfig(30), workers=2)
+    empty = sweep_grid(nr, [0.5, 2.0, 3.0], -40, 40)
+    assert all(p.values is None and p.sigmas is None for p in empty.profiles)
+    one = sweep_with_sigmas(nr, empty, JackknifeConfig(30), workers=1)
+    many = sweep_with_sigmas(nr, empty, JackknifeConfig(30), workers=3)
+    for g, k, a, b in zip(given.profiles, kept.profiles, one.profiles,
+                          many.profiles):
+        assert np.array_equal(k.values, g.values)
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.sigmas, b.sigmas)
+        assert np.array_equal(k.sigmas, a.sigmas)
+        assert np.max(np.abs(a.values - g.values)) < 1e-14
+        assert np.array_equal(a.pair_counts, g.pair_counts)

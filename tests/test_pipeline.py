@@ -1,12 +1,16 @@
 import numpy as np
+import pytest
 
+from oracles import oracle_cc
 from retvol import pipeline
-from retvol.errors import NoConvergence
-from retvol.ingest import TickSeries
+from retvol.errors import (ConfigInvalid, DegenerateVariance, LagOutOfRange,
+                           NoConvergence)
+from retvol.ingest import TickSeries, deduplicate
 from retvol.pipeline import AnalysisConfig, analyze_ticks
 from retvol.report import write_report
+from retvol.returns import apply_gap_policy, log_returns, standardize
 from retvol.rng import standard_normals
-from retvol.sampling import DROP_INTERVAL
+from retvol.sampling import DROP_INTERVAL, resample
 from retvol.synth import GarchSpec, gen_asym_garch, ticks_from_returns
 
 
@@ -88,3 +92,86 @@ def test_zero_jackknife_sigma_marks_d_unavailable(tmp_path):
     assert report.power_fits == {1.0: None, 2.0: None}
     assert report.quadratic_fit is None and report.argmax_kappa_d is None
     assert write_report(report, tmp_path)["argmax_kappa_d"] is None
+
+
+def returns_of(ticks, cfg):
+    """The normalized returns `analyze_ticks` correlates."""
+    prices = resample(deduplicate(ticks), cfg.delta_t, cfg.gap_policy)
+    return standardize(apply_gap_policy(log_returns(prices)))
+
+
+@pytest.mark.parametrize("n,blocks,lags", [
+    # blocks of 200 returns, longer than every lag
+    (4000, 20, 15),
+    # blocks of 30 returns against lags reaching over two blocks
+    (3000, 100, 60),
+])
+def test_cc_matches_oracle(n, blocks, lags):
+    ticks = garch_ticks(n=n, seed=n)
+    cfg = small_cfg(d_grid=[0.5, 1.0, 2.0, 3.0], lag_min=-lags, lag_max=lags,
+                    fit_hi=lags, jk_blocks=blocks)
+    report = analyze_ticks(ticks, cfg)
+    r = returns_of(ticks, cfg)
+    assert len(r) == n
+    for d, j in [(0.5, 0), (1.0, 1), (2.0, -1), (2.0, lags), (3.0, -lags),
+                 (0.5, 7)]:
+        got = report.sweep.profile_for(d).value_at(j)
+        assert abs(got - oracle_cc(r.values, d, j)) < 1e-12, (d, j)
+
+
+def test_report_bytes_identical_across_workers(tmp_path):
+    ticks = garch_ticks(n=6000, seed=12)
+    manifests = {
+        w: write_report(analyze_ticks(ticks, small_cfg(
+            d_grid=[0.5, 1.0, 1.5, 2.0, 3.0], jk_blocks=25, workers=w)),
+            tmp_path / f"w{w}")
+        for w in (1, 3)}
+    m1, m3 = manifests[1], manifests[3]
+    assert m1["body_sha256"] == m3["body_sha256"]
+    for name in m1["files"]:
+        if name != "report.json":  # carries generated_at
+            assert ((tmp_path / "w1" / name).read_bytes()
+                    == (tmp_path / "w3" / name).read_bytes()), name
+
+
+def alternating_ticks(n_returns):
+    # prices alternate between two levels, so the returns are +c, -c, ...:
+    # r is not constant, but every |r|^d is
+    prices = np.where(np.arange(n_returns + 1) % 2 == 0, 100.0, 101.0)
+    times = 1_420_848_000 + 120 * np.arange(n_returns + 1, dtype=np.int64)
+    return TickSeries(times, prices, np.ones(n_returns + 1))
+
+
+def analysis_error(ticks, **kw):
+    with pytest.raises(Exception) as info:
+        analyze_ticks(ticks, small_cfg(**kw))
+    return info.type
+
+
+# Each case also breaks every check that comes after it: the d grid is
+# checked first, then the full-series lags, then constant series, then
+# the block count.
+def test_bad_grid_is_reported_first():
+    assert analysis_error(alternating_ticks(400), d_grid=[2.0, 1.0],
+                          lag_max=500, jk_blocks=50) is ValueError
+
+
+def test_full_series_lags_before_constant_series_and_blocks():
+    assert analysis_error(alternating_ticks(400), lag_max=395,
+                          jk_blocks=50) is LagOutOfRange
+
+
+@pytest.mark.parametrize("blocks,lag_max", [
+    (50, 15),   # blocks of 8 returns
+    (1, 15),    # fewer than two blocks
+    (4, 300),   # 100 pairs in the full series, 0 once a block is deleted
+])
+def test_constant_series_before_blocks_and_reduced_lags(blocks, lag_max):
+    assert analysis_error(alternating_ticks(400), lag_max=lag_max,
+                          jk_blocks=blocks) is DegenerateVariance
+
+
+@pytest.mark.parametrize("blocks", [50, 1])
+def test_block_count_checked_last(blocks):
+    ticks = garch_ticks(n=400, seed=13)
+    assert analysis_error(ticks, jk_blocks=blocks) is ConfigInvalid
