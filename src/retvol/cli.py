@@ -54,7 +54,9 @@ def build_parser():
                     help="also drop |cc| <= S*sigma points from fits")
     an.add_argument("--workers", type=int, default=1,
                     help="threads for the CC and jackknife pass over "
-                         "powers; results are identical for any value")
+                         "powers; results are identical for any value, "
+                         "peak memory grows with it (one power's lag "
+                         "windows per thread)")
     an.add_argument("--out-dir", required=True)
 
     sy = sub.add_parser("synth", help="emit a synthetic tick CSV")

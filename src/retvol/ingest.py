@@ -6,9 +6,10 @@ with exactly two commas, no byte outside `0-9 . e E + -`, three
 non-empty fields and a timestamp of at most 18 plain digits is parsed
 together with the chunk's other such lines by one `np.loadtxt` call,
 and its values are checked vectorized. Every other line goes through
-`_parse_line`, which states the rules, and so does every line that
-`np.loadtxt` rejects (as it does `10,1e,1`), found by halving the
-rejected lines of a chunk. Either path
+`_parse_line`, which states the rules. If `np.loadtxt` rejects a
+chunk (as it does `10,1e,1`), its lines are retried in blocks of
+_RETRY_LINES, and the lines of a rejected block go through
+`_parse_line` too. Either path
 gives a line the same record, skip or strict-mode error. Files and
 byte streams are read as ASCII (a non-ASCII byte becomes U+FFFD) with
 universal newlines; text streams are split on "\n" only. Records come
@@ -39,6 +40,10 @@ _RECORD = np.dtype([("t", np.int64), ("p", np.float64), ("v", np.float64)])
 _INT64 = np.iinfo(np.int64)
 # every timestamp of at most 18 digits fits an int64
 _FAST_DIGITS = 18
+# lines per np.loadtxt retry of a rejected chunk: small enough that few
+# good lines go per line, large enough that dense rejects cost no more
+# than parsing the whole chunk per line
+_RETRY_LINES = 128
 _NEWLINE, _COMMA = ord("\n"), ord(",")
 
 
@@ -175,24 +180,31 @@ def _fast_lines(a, starts, ends):
     return fast
 
 
-def _load_records(text, offsets, lo, hi):
-    """Parse lines lo..hi-1 of `text` (line i spans offsets[i:i+2]).
+def _load_records(text, offsets):
+    """Parse the lines of `text`, line i spanning offsets[i:i+2].
 
     Returns the record arrays of the lines `np.loadtxt` accepts, in
-    order, and the numbers of the lines it rejects. A rejected range is
-    halved until the rejecting lines are found.
+    order, and the numbers of the lines it does not. If it rejects the
+    whole text, each block of `_RETRY_LINES` lines is tried on its own,
+    and every line of a rejected block is returned as rejected.
     """
+    def load(lo, hi):
+        return np.loadtxt(io.BytesIO(text[offsets[lo]:offsets[hi]]),
+                          dtype=_RECORD, delimiter=",", comments=None, ndmin=1)
+
+    n = len(offsets) - 1
     try:
-        return [np.loadtxt(io.BytesIO(text[offsets[lo]:offsets[hi]]),
-                           dtype=_RECORD, delimiter=",", comments=None,
-                           ndmin=1)], []
+        return [load(0, n)], []
     except ValueError:
-        if hi - lo == 1:
-            return [], [lo]
-    mid = (lo + hi) // 2
-    head, bad_head = _load_records(text, offsets, lo, mid)
-    tail, bad_tail = _load_records(text, offsets, mid, hi)
-    return head + tail, bad_head + bad_tail
+        pass
+    parts, rejected = [], []
+    for lo in range(0, n, _RETRY_LINES):
+        hi = min(lo + _RETRY_LINES, n)
+        try:
+            parts.append(load(lo, hi))
+        except ValueError:
+            rejected.extend(range(lo, hi))
+    return parts, rejected
 
 
 def _parse_chunk(chunk, codec, strict, line_no):
@@ -218,10 +230,10 @@ def _parse_chunk(chunk, codec, strict, line_no):
         pieces.append(view[prev:])
         idx = np.flatnonzero(fast)
         offsets = np.concatenate(([0], np.cumsum(ends[idx] - starts[idx] + 1)))
-        parts, rejected = _load_records(b"".join(pieces), offsets, 0, len(idx))
+        parts, rejected = _load_records(b"".join(pieces), offsets)
         rec = np.concatenate([rec, *parts])
         if rejected:
-            # e.g. "10,1e,1": only the lines np.loadtxt rejects go per line
+            # e.g. "10,1e,1": its block of lines goes per line
             fast[idx[rejected]] = False
             slow = np.flatnonzero(~fast)
 

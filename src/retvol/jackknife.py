@@ -275,15 +275,15 @@ def profile_with_sigmas(r, profile, cfg=JackknifeConfig()):
 def sweep_with_sigmas(r, sweep, cfg=JackknifeConfig(), workers=1):
     """CC values and jackknife sigmas for every profile of a power sweep.
 
-    One pass per power gives both. Values already on a profile are
-    kept; missing ones (None, as `sweep_grid` leaves them) are filled
-    and agree with `sweep_powers` to rounding. Each profile's sigmas
-    equal `jackknife_sigma` at its power bit for bit. The powers are
-    spread over `workers` threads, which changes no result.
+    One pass per power gives both; only the powers, lags and pair
+    counts of `sweep` are read, so a `sweep_grid` result (values None)
+    will do. The values agree with `sweep_powers` to rounding, and each
+    profile's sigmas equal `jackknife_sigma` at its power bit for bit.
+    The powers are spread over `workers` threads, which changes no
+    result.
     """
     values, sigmas = _sweep(r, [p.d for p in sweep.profiles],
                             sweep.profiles[0].lags, cfg, workers)
     return SweepResult(sweep.d_grid, [
-        CorrelationProfile(p.d, p.lags, v if p.values is None else p.values,
-                           p.pair_counts, sigmas=s)
+        CorrelationProfile(p.d, p.lags, v, p.pair_counts, sigmas=s)
         for p, v, s in zip(sweep.profiles, values, sigmas)])

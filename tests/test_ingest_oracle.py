@@ -218,9 +218,10 @@ def test_dedup_unsorted_input_matches_oracle():
 
 
 @pytest.mark.parametrize("strictness", ["lenient", "strict"])
-def test_loadtxt_rejects_are_bisected_to_their_lines(monkeypatch, strictness):
-    # "10,1e,1" passes the classifier but not np.loadtxt: only such lines,
-    # not the rest of their chunk, take the per-line path
+def test_loadtxt_rejects_go_per_line_with_their_block_only(monkeypatch,
+                                                           strictness):
+    # "10,1e,1" passes the classifier but not np.loadtxt: only its block
+    # of _RETRY_LINES lines, not the rest of its chunk, goes per line
     monkeypatch.setattr(ingest, "CHUNK_BYTES", 1 << 15)
     n = 10_000
     lines = [f"{1_420_000_000 + t},{1.5 + t % 7},0.25" for t in range(n)]
@@ -231,4 +232,18 @@ def test_loadtxt_rejects_are_bisected_to_their_lines(monkeypatch, strictness):
     want = outcome(oracle_parse_tick_csv, lambda: io.BytesIO(data), strictness)
     calls = count_per_line_calls(monkeypatch)
     assert outcome(library, lambda: io.BytesIO(data), strictness) == want
-    assert calls == ([1_001, 7_001] if strictness == "lenient" else [1_001])
+    bad = [1_001, 7_001] if strictness == "lenient" else [1_001]
+    assert set(bad) <= set(calls)
+    assert len(calls) <= len(bad) * ingest._RETRY_LINES
+    assert all(min(abs(c - b) for b in bad) < ingest._RETRY_LINES
+               for c in calls)
+    if strictness == "strict":
+        assert calls[-1] == 1_001
+
+
+def test_dense_loadtxt_rejects_match_oracle(monkeypatch):
+    # every block of a chunk is rejected
+    monkeypatch.setattr(ingest, "CHUNK_BYTES", 1 << 12)
+    lines = [f"{t},{1.5 + t % 7},0.25" if t % 50 else "10,1e,1"
+             for t in range(3_000)]
+    assert_matches_oracle(("\n".join(lines) + "\n").encode("ascii"))
