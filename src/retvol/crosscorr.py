@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as _fft
 
-from .errors import DegenerateVariance, LagOutOfRange
+from .errors import DegenerateVariance, LagOutOfRange, MissingValues
 from .returns import abs_power
 
 MIN_PAIRS = 10
@@ -45,6 +45,8 @@ class CorrelationProfile:
         return len(self.lags)
 
     def value_at(self, lag):
+        if self.values is None:
+            raise MissingValues(f"profile for d={self.d} has no CC values")
         k = int(np.searchsorted(self.lags, lag))
         if k >= len(self.lags) or self.lags[k] != lag:
             raise LagOutOfRange(f"lag {lag} not in profile grid")

@@ -86,6 +86,10 @@ class MissingSigmas(RetvolError):
     """Profile export requires jackknife sigmas which are absent."""
 
 
+class MissingValues(RetvolError):
+    """A profile from `sweep_grid` holds no CC values until a sweep fills it."""
+
+
 class NonStationarySpec(RetvolError):
     """GARCH parameters violate covariance stationarity."""
 

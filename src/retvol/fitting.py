@@ -6,10 +6,16 @@ Three models are supported:
 * ``exponential``   y = alpha * exp(-x / tau)     params (alpha, tau)
 * ``quadratic``     y = a * x^2 + b * x + c       params (a, b, c)
 
-Nonlinear models are minimized by damped Gauss-Newton (multiplicative
-Levenberg schedule x10 / /10) on chi^2 = sum ((y_i - f(x_i)) / sigma_i)^2,
-initialized from an unweighted log-linear regression. The quadratic is
-solved in closed form by weighted normal equations.
+The two decay models are linear in their amplitude, so they are fitted
+by variable projection (Golub & Pereyra 1973): y = c * g(x; theta) with
+theta = gamma or log(tau), g normalised to 1 at the smallest fitted x,
+and c = sum(w^2 g y) / sum(w^2 g^2) in closed form for each theta. That
+leaves chi^2 = sum ((y_i - f(x_i)) / sigma_i)^2 a function of theta
+alone; its minimum is the root of the analytic d chi^2 / d theta, found
+by Brent's method inside a fixed bracket. An optimum on an edge of the
+bracket (increasing data have tau = +infinity, for example) raises
+NoConvergence with the last iterate attached. The quadratic is solved in
+closed form by weighted normal equations.
 
 Parameter uncertainties follow the asymptotic-standard-error convention:
 the covariance is the inverse weighted normal matrix at the optimum
@@ -17,6 +23,7 @@ scaled by the reduced chi^2, so errors are invariant under a common
 rescaling of all sigmas.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +36,6 @@ POWER_LAW = "power_law"
 EXPONENTIAL = "exponential"
 QUADRATIC = "quadratic"
 
-_RTOL = 1e-10
-_MAX_ITER = 200
 _TIE_TOL = 1e-12
 
 PARAM_NAMES = {
@@ -90,7 +95,7 @@ class FitResult:
     fit_range: tuple
     n_points: int
     excluded_x: list = field(default_factory=list)
-    n_iterations: int = 0
+    n_iterations: int = 0  # evaluations of d chi^2 / d theta
 
     @property
     def param_names(self):
@@ -129,104 +134,58 @@ def fit_points_from_profile(profile, lag_lo, lag_hi, sigma_filter=None):
 
 
 # ---------------------------------------------------------------------------
-# model functions
+# variable projection
+
+# search brackets: gamma, and tau over the span of the fitted x; an
+# optimum on an edge means the data do not decay that way. The lower tau
+# edge keeps g above 0 at every x, so d chi^2 / d theta is never flat 0.
+GAMMA_BRACKET = (-10.0, 10.0)
+TAU_SPAN_BRACKET = (2e-3, 1e4)
+THETA_TOL = 1e-12
+_EPS = np.finfo(float).eps
 
 
-def _power_f(x, p):
-    return p[0] * x ** (-p[1])
-
-
-def _power_jac(x, p):
-    xg = x ** (-p[1])
-    return np.column_stack((xg, -p[0] * xg * np.log(x)))
-
-
-def _power_init(x, y):
-    slope, intercept = np.polyfit(np.log(x), np.log(y), 1)
-    return np.array([np.exp(intercept), -slope])
-
-
-def _exp_f(x, p):
-    return p[0] * np.exp(-x / p[1])
-
-
-def _exp_jac(x, p):
-    e = np.exp(-x / p[1])
-    return np.column_stack((e, p[0] * e * x / p[1] ** 2))
-
-
-def _exp_init(x, y):
-    slope, intercept = np.polyfit(x, np.log(y), 1)
-    tau = -1.0 / slope if slope < 0 else 100.0 * (x.max() - x.min() + 1.0)
-    return np.array([np.exp(intercept), tau])
-
-
-def _quad_f(x, p):
-    return p[0] * x * x + p[1] * x + p[2]
-
-
-def _quad_jac(x, p):
-    return np.column_stack((x * x, x, np.ones_like(x)))
-
-
-_MODELS = {
-    POWER_LAW: (_power_f, _power_jac, _power_init),
-    EXPONENTIAL: (_exp_f, _exp_jac, _exp_init),
-    QUADRATIC: (_quad_f, _quad_jac, None),
-}
-
-
-# ---------------------------------------------------------------------------
-# optimizer
-
-
-def _weighted_lm(f, jac, x, y, w, p0, max_iter=_MAX_ITER, rtol=_RTOL):
-    """Damped Gauss-Newton on weighted residuals; returns (p, chi2, iters)."""
-    p = np.asarray(p0, dtype=np.float64)
-    resid = (y - f(x, p)) * w
-    chi2 = float(resid @ resid)
-    lam = 0.0
-    for it in range(1, max_iter + 1):
-        jw = jac(x, p) * w[:, None]
-        a = jw.T @ jw
-        g = jw.T @ resid
-        diag = np.diag(a).copy()
-        floor = max(diag.max(), 1.0) * 1e-14
-        accepted = False
-        for _ in range(60):
-            ad = a.copy()
-            if lam > 0.0:
-                ad[np.diag_indices_from(ad)] += lam * np.maximum(diag, floor)
-            try:
-                step = np.linalg.solve(ad, g)
-            except np.linalg.LinAlgError:
-                lam = max(lam * 10.0, 1e-10)
-                continue
-            if not np.all(np.isfinite(step)):
-                lam = max(lam * 10.0, 1e-10)
-                continue
-            p_try = p + step
-            r_try = (y - f(x, p_try)) * w
-            chi2_try = float(r_try @ r_try)
-            if np.isfinite(chi2_try) and chi2_try <= chi2:
-                accepted = True
-                break
-            lam = max(lam * 10.0, 1e-10)
-        if not accepted:
-            raise NoConvergence(
-                f"no descent step found at iteration {it}",
-                last_result={"params": p, "chi2": chi2, "iterations": it})
-        lam_used = lam
-        lam /= 10.0
-        if lam < 1e-12:
-            lam = 0.0
-        drop = chi2 - chi2_try
-        p, resid, chi2 = p_try, r_try, chi2_try
-        # a negligible improvement only counts as convergence for an
-        # undamped step; damped crawl steps must keep iterating
-        if lam_used == 0.0 and drop <= rtol * max(chi2, np.finfo(float).tiny):
-            return p, chi2, it
-    return p, chi2, max_iter
+def _zeroin(h, a, b, ha, hb, tol=THETA_TOL):
+    """Root of h in [a, b] given h(a) < 0 < h(b), by Brent's method
+    (Brent 1973, ch. 4): inverse quadratic or secant steps that stay
+    inside the sign-change bracket, else bisection. The bracket keeps
+    h < 0 on its left, so the root found has h rising through 0.
+    Returns (root, evaluations)."""
+    c, hc = a, ha
+    d = e = b - a
+    evals = 0
+    while True:
+        if (hb > 0.0) == (hc > 0.0):
+            c, hc = a, ha
+            d = e = b - a
+        if abs(hc) < abs(hb):
+            a, b, c = b, c, b
+            ha, hb, hc = hb, hc, hb
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
+        m = 0.5 * (c - b)
+        if abs(m) <= tol1 or hb == 0.0:
+            return b, evals
+        if abs(e) >= tol1 and abs(ha) > abs(hb):
+            s = hb / ha
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = ha / hc, hb / hc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, ha = b, hb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        hb = h(b)
+        evals += 1
 
 
 def _covariance(jw, chi2, n, n_params, context):
@@ -238,6 +197,9 @@ def _covariance(jw, chi2, n, n_params, context):
     except np.linalg.LinAlgError:
         raise SingularNormalMatrix(f"{context}: singular normal matrix") from None
     cov = 0.5 * (cov + cov.T)
+    if not np.all(np.diag(cov) >= 0.0):  # inverted in rounding noise
+        raise SingularNormalMatrix(f"{context}: normal matrix singular to "
+                                   "working precision")
     return cov, chi2red
 
 
@@ -258,21 +220,70 @@ def _fit_decay(model, points, fit_range):
     if model == POWER_LAW and np.any(x <= 0):
         raise ValueError("power-law fit requires x > 0")
     w = 1.0 / sigma
+    wy = w * y
 
-    f, jac, init = _MODELS[model]
-    p0 = init(x, y)
-    p, chi2, iters = _weighted_lm(f, jac, x, y, w, p0)
-    jw = jac(x, p) * w[:, None]
+    # y = c * g(x; theta) with g = exp(-rate(theta) * u) and u = 0 at the
+    # smallest x, so g is 1 there whatever theta is
+    x0 = float(x.min())
+    if model == POWER_LAW:
+        bracket, u = GAMMA_BRACKET, np.log(x) - math.log(x0)
+
+        def rate(theta):  # (rate, d rate / d theta)
+            return theta, 1.0
+    else:
+        u = x - x0
+        span = float(u.max()) or 1.0  # x all equal: g is flat, edge ahead
+        bracket = tuple(math.log(v * span) for v in TAU_SPAN_BRACKET)
+
+        def rate(theta):
+            s = math.exp(-theta)
+            return s, -s
+
+    def project(theta):
+        """(c, w g, weighted residual) at theta, with the best amplitude
+        c = sum(w^2 g y) / sum(w^2 g^2)."""
+        wg = w * np.exp(-rate(theta)[0] * u)
+        c = (wg @ wy) / (wg @ wg)
+        return c, wg, wy - c * wg
+
+    def slope(theta):
+        """d chi^2 / d theta divided by 2c > 0 (variable projection)."""
+        _, wg, r = project(theta)
+        return rate(theta)[1] * ((u * wg) @ r)
+
+    h_lo, h_hi = slope(bracket[0]), slope(bracket[1])
+    if h_lo < 0.0 < h_hi:
+        theta, evals = _zeroin(slope, *bracket, h_lo, h_hi)
+    else:
+        theta, evals = bracket[0 if h_lo >= 0.0 else 1], 0
+    c, wg, r = project(theta)
+    chi2 = float(r @ r)
+    evals += 2
+    f = c * wg / w
+    b = theta if model == POWER_LAW else math.exp(theta)
     try:
-        cov, chi2red = _covariance(jw, chi2, len(x), len(p), model)
-    except SingularNormalMatrix:
+        a = c * (x0 ** b if model == POWER_LAW else math.exp(x0 / b))
+    except OverflowError:
+        a = math.inf
+    p = np.array([a, b])
+    last = {"params": p, "chi2": chi2, "iterations": evals}
+    if theta in bracket:
         raise NoConvergence(
-            f"{model}: normal matrix singular at the optimum",
-            last_result={"params": p, "chi2": chi2, "iterations": iters},
-        ) from None
+            f"{model}: optimum on the edge of the search bracket "
+            f"[{bracket[0]:.6g}, {bracket[1]:.6g}]", last_result=last)
+    if not 0.0 < a < math.inf:
+        raise NoConvergence(f"{model}: amplitude outside the float range",
+                            last_result=last)
+    dfdb = -f * np.log(x) if model == POWER_LAW else f * x / (b * b)
+    jw = np.column_stack((f / a, dfdb)) * w[:, None]
+    try:
+        cov, chi2red = _covariance(jw, chi2, len(x), 2, model)
+    except SingularNormalMatrix:
+        raise NoConvergence(f"{model}: normal matrix singular at the optimum",
+                            last_result=last) from None
     return FitResult(model, p, np.sqrt(np.diag(cov)), cov, chi2red,
                      (lo, hi), len(x), excluded_x=[float(v) for v in excluded],
-                     n_iterations=iters)
+                     n_iterations=evals)
 
 
 def fit_power_law(points, fit_range=(1, 200)):

@@ -20,7 +20,8 @@ import numpy as np
 
 from .crosscorr import CorrelationProfile
 from .errors import MissingSigmas
-from .fitting import PARAM_NAMES
+from .fitting import (GAMMA_BRACKET, PARAM_NAMES, TAU_SPAN_BRACKET,
+                      THETA_TOL)
 
 PROFILE_HEADER = "d,lag,cc,sigma,pairs"
 GAMMA_KAPPA_HEADER = "d,gamma,gamma_err,kappa,kappa_err,chi2red"
@@ -168,9 +169,15 @@ def fit_to_json(fit, provenance=None):
 
 FIT_PROVENANCE = {
     "objective": "weighted least squares, chi2 = sum(((y - f(x)) / sigma)^2)",
-    "optimizer": "damped Gauss-Newton, multiplicative lambda x10 / /10",
-    "initial_guess": "unweighted log-linear regression",
-    "convergence": {"relative_chi2_tol": 1e-10, "max_iterations": 200},
+    "optimizer": "variable projection: y = c * g(x; theta), g = 1 at the "
+                 "smallest fitted x, c = sum(w^2 g y) / sum(w^2 g^2) in "
+                 "closed form; theta = gamma or log(tau) is the root of "
+                 "d chi2 / d theta found by Brent's method",
+    "initial_guess": "none: theta is bracketed, an optimum on an edge "
+                     "is a failed fit",
+    "convergence": {"gamma_bracket": list(GAMMA_BRACKET),
+                    "tau_over_x_span_bracket": list(TAU_SPAN_BRACKET),
+                    "theta_abs_tol": THETA_TOL},
     "error_convention": "asymptotic standard errors: covariance = "
                         "inv(J'WJ) * reduced_chi2",
     "nonpositive_y": "excluded from the chi2 sum and counted",

@@ -51,6 +51,32 @@ def oracle_weighted_quadratic(x, y, sigma):
     return coef
 
 
+def oracle_decay_chi2(model, x, y, sigma, params):
+    """chi^2 of a power-law or exponential decay, summed with math.fsum."""
+    a, b = (float(v) for v in params)
+    chi2 = []
+    for xi, yi, si in zip(x, y, sigma):
+        f = a * xi ** (-b) if model == "power_law" else a * math.exp(-xi / b)
+        chi2.append(((yi - f) / si) ** 2)
+    return math.fsum(chi2)
+
+
+def oracle_fit(model, x, y, sigma, p0):
+    """Weighted decay fit by scipy `least_squares` with every tolerance at
+    1e-15, started at `p0`; returns (params, chi2)."""
+    from scipy.optimize import least_squares
+
+    x, y, sigma = (np.asarray(v, float) for v in (x, y, sigma))
+
+    def resid(p):
+        f = p[0] * (x ** (-p[1]) if model == "power_law" else np.exp(-x / p[1]))
+        return (y - f) / sigma
+
+    sol = least_squares(resid, np.asarray(p0, float), xtol=1e-15, ftol=1e-15,
+                        gtol=1e-15)
+    return sol.x, oracle_decay_chi2(model, x, y, sigma, sol.x)
+
+
 def oracle_parse_tick_csv(stream, strictness="strict"):
     """Line-at-a-time tick CSV parse: (timestamps, prices, volumes, n_skipped).
 

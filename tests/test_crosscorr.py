@@ -6,7 +6,8 @@ import pytest
 from oracles import oracle_cc
 from retvol import errors
 from retvol.crosscorr import (correlation_profile, cross_correlation,
-                              power_grid, sweep_powers, _profile_values)
+                              power_grid, sweep_grid, sweep_powers,
+                              _profile_values)
 from retvol.returns import NormalizedReturns, abs_power, standardize
 from retvol.returns import ReturnSeries
 from retvol.rng import standard_normals
@@ -183,3 +184,10 @@ def test_profile_requires_zero_straddling_range():
     nr = normalized(15, 500)
     with pytest.raises(ValueError):
         correlation_profile(nr, 2.0, 1, 10)
+
+
+def test_value_at_without_values_raises_typed_error():
+    prof = sweep_grid(normalized(12, 500), [1.0], -3, 3).profiles[0]
+    assert prof.values is None
+    with pytest.raises(errors.MissingValues):
+        prof.value_at(1)

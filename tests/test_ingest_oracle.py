@@ -114,7 +114,7 @@ def test_lines_straddling_chunk_boundaries(monkeypatch, chunk):
     assert_matches_oracle(text)
 
 
-def test_loadtxt_rejecting_a_chunk_falls_back_for_that_chunk_only(monkeypatch):
+def test_loadtxt_rejected_line_matches_oracle(monkeypatch):
     monkeypatch.setattr(ingest, "CHUNK_BYTES", 32)
     good = "".join(f"{t},1.5,0.25\n" for t in range(40))
     assert_matches_oracle((good + "7,1e,1\n" + good).encode("ascii"))

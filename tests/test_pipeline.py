@@ -5,13 +5,15 @@ from oracles import oracle_cc
 from retvol import pipeline
 from retvol.errors import (ConfigInvalid, DegenerateVariance, LagOutOfRange,
                            NoConvergence)
+from retvol.fitting import fit_exponential, fit_points_from_profile
 from retvol.ingest import TickSeries, deduplicate
 from retvol.pipeline import AnalysisConfig, analyze_ticks
 from retvol.report import write_report
 from retvol.returns import apply_gap_policy, log_returns, standardize
 from retvol.rng import standard_normals
 from retvol.sampling import DROP_INTERVAL, resample
-from retvol.synth import GarchSpec, gen_asym_garch, ticks_from_returns
+from retvol.synth import (GarchSpec, gen_asym_garch, gen_iid_gaussian,
+                          ticks_from_returns)
 
 
 def garch_ticks(n=40_000, seed=9, spacing=120):
@@ -77,6 +79,23 @@ def test_failed_exponential_fit_keeps_power_law(monkeypatch):
         assert report.power_fits[d] is not None
         assert d in report.long_range
         assert d not in report.exp_fits and d not in report.comparisons
+
+
+def test_exponential_fit_past_its_bracket_drops_only_itself(tmp_path):
+    # iid returns, seed 9: -CC_1(j) rises over lags 2-4 (lag 1 is negative
+    # and excluded), so the best tau is +infinity
+    rets = gen_iid_gaussian(4000, seed=9)
+    rets.values *= 0.002
+    cfg = small_cfg(lag_min=-4, lag_max=4, fit_hi=4, workers=1)
+    report = analyze_ticks(ticks_from_returns(rets, spacing=120), cfg)
+    points = fit_points_from_profile(report.sweep.profile_for(1.0), 1, 4)
+    with pytest.raises(NoConvergence) as exc:
+        fit_exponential(points, (1, 4))
+    assert exc.value.last_result is not None
+    assert report.power_fits[1.0] is not None and 1.0 in report.long_range
+    assert 1.0 not in report.exp_fits and 1.0 not in report.comparisons
+    assert 2.0 in report.exp_fits and 2.0 in report.comparisons
+    write_report(report, tmp_path)
 
 
 def test_zero_jackknife_sigma_marks_d_unavailable(tmp_path):
