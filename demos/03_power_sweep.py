@@ -23,7 +23,7 @@ nr = standardize(gen_asym_garch(spec))
 print(f"{len(nr)} normalized returns; sweeping d over the 0.2..3.0 grid\n")
 
 grid = power_grid(0.2, 3.0, 0.2)
-sweep = sweep_powers(nr, grid, -60, 60, workers=2)
+sweep = sweep_powers(nr, grid, -60, 60)
 sweep = sweep_with_sigmas(nr, sweep, JackknifeConfig(50), workers=2)
 
 rows = []

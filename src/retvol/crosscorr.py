@@ -11,15 +11,15 @@ means the powered series lies in the future of the return series;
 negative j pairs returns with past volatility.
 
 Profiles over many lags can be evaluated either by per-lag dot products
-or via FFT cross-correlation; both must agree with the brute-force
-definition, which is the normative reference (tests enforce 1e-10).
+or via FFT cross-correlation (`numpy.fft`); both must agree with the
+brute-force definition, which is the normative reference (tests enforce
+1e-10).
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft
 
 from .errors import DegenerateVariance, LagOutOfRange, MissingValues
 from .returns import abs_power
@@ -115,11 +115,31 @@ def _lag_sums_direct(rc, pc, lags):
     return out
 
 
+def next_fast_len(n, real=False):
+    """Smallest 5-smooth (real=True) or 11-smooth integer >= n >= 1.
+
+    These are the lengths pocketfft transforms fastest, and the values
+    `scipy.fft.next_fast_len` returns. Each odd smooth number q below the
+    next power of two is lifted by the fewest doublings that reach n.
+    """
+    top = 1 << (n - 1).bit_length()
+    odd = [1]
+    for p in (3, 5) if real else (3, 5, 7, 11):
+        more = []
+        for q in odd:
+            q *= p
+            while q < top:
+                more.append(q)
+                q *= p
+        odd += more
+    return min(q << ((n - 1) // q).bit_length() for q in odd)
+
+
 def _pick_method(n, lags, method):
     if method != "auto":
         return method
     max_abs = int(np.max(np.abs(lags))) if len(lags) else 0
-    nfft = _fft.next_fast_len(n + max_abs + 1)
+    nfft = next_fast_len(n + max_abs + 1)
     direct_cost = 2.0 * n * len(lags)
     fft_cost = 15.0 * nfft * math.log2(nfft)
     return "fft" if fft_cost < direct_cost else "direct"
@@ -141,8 +161,8 @@ class _LagKernel:
         self.how = _pick_method(self.n, self.lags, method)
         if self.how == "fft":
             max_abs = int(np.max(np.abs(self.lags)))
-            self.nfft = _fft.next_fast_len(self.n + max_abs + 1)
-            self.rc_fft = np.conj(_fft.rfft(self.rc, self.nfft))
+            self.nfft = next_fast_len(self.n + max_abs + 1)
+            self.rc_fft = np.conj(np.fft.rfft(self.rc, self.nfft))
             self.idx = np.where(self.lags >= 0, self.lags, self.nfft + self.lags)
         elif self.how != "direct":
             raise ValueError(f"unknown method {self.how!r}")
@@ -152,7 +172,7 @@ class _LagKernel:
             raise ValueError("series length mismatch")
         pc, sig_p = _centered(pv)
         if self.how == "fft":
-            corr = _fft.irfft(self.rc_fft * _fft.rfft(pc, self.nfft), self.nfft)
+            corr = np.fft.irfft(self.rc_fft * np.fft.rfft(pc, self.nfft), self.nfft)
             sums = corr[self.idx]
         else:
             sums = _lag_sums_direct(self.rc, pc, self.lags)
@@ -227,12 +247,11 @@ def sweep_grid(r, d_grid, lag_min, lag_max):
         CorrelationProfile(d, lags, None, pairs) for d in d_grid])
 
 
-def sweep_powers(r, d_grid, lag_min, lag_max, workers=1, method="auto"):
+def sweep_powers(r, d_grid, lag_min, lag_max, method="auto"):
     """One correlation profile per power d, over a shared lag grid.
 
     Every power is correlated with the same centred returns, whose
-    transform is computed once. `workers` is accepted for compatibility
-    and changes nothing.
+    transform is computed once.
     """
     sweep = sweep_grid(r, d_grid, lag_min, lag_max)
     kernel = _LagKernel(r.values, sweep.profiles[0].lags, method=method)

@@ -32,9 +32,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft
 
-from .crosscorr import CorrelationProfile, SweepResult, _check_lags
+from .crosscorr import (CorrelationProfile, SweepResult, _check_lags,
+                        next_fast_len)
 from .errors import ConfigInvalid, DegenerateVariance
 from .returns import abs_power
 
@@ -122,8 +122,8 @@ class _Deletions:
         mine = np.where(rb >= 0, own[rb], n_seg)
         x_lo = seg_lo[rt] - gone * (rt > mine)
         x_hi = seg_hi[rt] - gone * (rt >= mine)
-        self.nfft = _fft.next_fast_len(int(np.max(x_hi - x_lo)) + left + right,
-                                       real=True)
+        self.nfft = next_fast_len(int(np.max(x_hi - x_lo)) + left + right,
+                                  real=True)
         pos = (x_lo - left)[:, None] + np.arange(self.nfft)
         full = self._full_index(pos, rb[:, None])
         # index n is the zero appended to every series
@@ -212,14 +212,14 @@ def _sweep(r, ds, lags, cfg, workers=1):
     full_pairs = len(x) - cut
 
     x, sdx, tx, mx, sx, xhead, xtail = dl.moments(x)
-    x_spec = np.conj(_fft.rfft(x[dl.x_idx]))
+    x_spec = np.conj(np.fft.rfft(x[dl.x_idx]))
     # the pairs at lag j leave out the last (j > 0) or first |j| returns
     sum_x = tx[:, None] - np.where(fwd, xtail[:, cut], xhead[:, cut])
 
     def one(d):
         y, sdy, ty, my, sy, yhead, ytail = dl.moments(abs_power(r, d).values)
-        windows = _fft.irfft(_fft.rfft(y[dl.y_idx]) * x_spec,
-                             dl.nfft)[:, dl.lags % dl.nfft]
+        windows = np.fft.irfft(np.fft.rfft(y[dl.y_idx]) * x_spec,
+                               dl.nfft)[:, dl.lags % dl.nfft]
         sum_y = ty[:, None] - np.where(fwd, yhead[:, cut], ytail[:, cut])
         full, reduced = dl.in_reduced_order(windows)
         cov = (reduced - my[:, None] * sum_x

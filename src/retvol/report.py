@@ -43,13 +43,14 @@ def emit_profile_csv(profile, path, filter_sigma=None):
     keep = np.ones(len(profile), dtype=bool)
     if filter_sigma is not None:
         keep = np.abs(profile.values) > filter_sigma * profile.sigmas
+    d = _r(profile.d)
+    rows = zip(np.asarray(profile.lags, dtype=np.int64).tolist(),
+               np.asarray(profile.values, dtype=np.float64).tolist(),
+               np.asarray(profile.sigmas, dtype=np.float64).tolist(),
+               np.asarray(profile.pair_counts, dtype=np.int64).tolist(),
+               keep.tolist())
     lines = [PROFILE_HEADER]
-    for k in range(len(profile)):
-        if not keep[k]:
-            continue
-        lines.append(
-            f"{_r(profile.d)},{int(profile.lags[k])},{_r(profile.values[k])},"
-            f"{_r(profile.sigmas[k])},{int(profile.pair_counts[k])}")
+    lines += [f"{d},{j},{cc!r},{s!r},{n}" for j, cc, s, n, k in rows if k]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -6,8 +6,8 @@ import pytest
 from oracles import oracle_cc
 from retvol import errors
 from retvol.crosscorr import (correlation_profile, cross_correlation,
-                              power_grid, sweep_grid, sweep_powers,
-                              _profile_values)
+                              next_fast_len, power_grid, sweep_grid,
+                              sweep_powers, _profile_values)
 from retvol.returns import NormalizedReturns, abs_power, standardize
 from retvol.returns import ReturnSeries
 from retvol.rng import standard_normals
@@ -155,13 +155,18 @@ def test_power_grid_is_papers_grid():
 def test_sweep_matches_profiles_and_is_deterministic():
     nr = normalized(12, 3000)
     grid = [0.5, 1.0, 2.0]
-    seq = sweep_powers(nr, grid, -10, 10, workers=1)
-    par = sweep_powers(nr, grid, -10, 10, workers=4)
-    assert len(seq.profiles) == 3
-    for a, b in zip(seq.profiles, par.profiles):
-        assert np.array_equal(a.values, b.values)
+    sweep = sweep_powers(nr, grid, -10, 10)
+    assert len(sweep.profiles) == 3
     lone = correlation_profile(nr, 1.0, -10, 10)
-    assert np.array_equal(seq.profile_for(1.0).values, lone.values)
+    assert np.array_equal(sweep.profile_for(1.0).values, lone.values)
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_next_fast_len_matches_scipy(real):
+    from scipy.fft import next_fast_len as oracle
+    sample = np.random.default_rng(7).integers(20001, 10**7 + 1, 2000)
+    for n in list(range(1, 20001)) + sample.tolist():
+        assert next_fast_len(n, real=real) == oracle(n, real=real), n
 
 
 def test_sweep_thirty_powers():
