@@ -12,14 +12,13 @@ __version__ = "0.1.0"
 
 from . import errors
 from .crosscorr import (CorrelationProfile, SweepResult, correlation_profile,
-                        cross_correlation, power_grid, sweep_powers)
-from .fitting import (FitPoint, FitPoints, FitResult, ModelComparison,
-                      compare_models, fit_exponential, fit_points_from_profile,
-                      fit_power_law, fit_quadratic_gamma, long_range_flag)
-from .ingest import (TickRecord, TickSeries, deduplicate, parse_tick_csv,
-                     read_tick_file, serialize_tick_csv)
-from .jackknife import (JackknifeConfig, jackknife_sigma, profile_with_sigmas,
-                        sweep_with_sigmas)
+                        cross_correlation, power_grid, sweep_grid, sweep_powers)
+from .fitting import (FitPoints, FitResult, ModelComparison, compare_models,
+                      fit_exponential, fit_points_from_profile, fit_power_law,
+                      fit_quadratic_gamma, long_range_flag)
+from .ingest import (TickSeries, deduplicate, parse_tick_csv, read_tick_file,
+                     serialize_tick_csv)
+from .jackknife import JackknifeConfig, jackknife_sigma, sweep_with_sigmas
 from .pipeline import AnalysisConfig, analyze_ticks, run_analysis
 from .report import (AnalysisReport, emit_gamma_kappa_table, emit_profile_csv,
                      format_value_error, read_profile_csv, write_report)

@@ -11,17 +11,35 @@ from .sampling import CARRY_FORWARD, DROP_INTERVAL
 from .synth import GarchSpec, gen_asym_garch, gen_iid_gaussian, ticks_from_returns
 
 
-def _span(n_fields):
+def _span(n_fields, make):
+    """Argument type: `make` applied to n colon-separated floats."""
     def parse(text):
         parts = text.split(":")
         if len(parts) != n_fields:
             raise argparse.ArgumentTypeError(
                 f"expected {n_fields} colon-separated fields, got {text!r}")
         try:
-            return [float(p) for p in parts]
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad span {text!r}") from None
+            return make(*map(float, parts))
+        except (ValueError, OverflowError) as exc:
+            raise argparse.ArgumentTypeError(f"bad span {text!r}: {exc}") from None
     return parse
+
+
+def _int_span(lo, hi):
+    return int(lo), int(hi)
+
+
+def _lag_span(lo, hi):
+    lo, hi = _int_span(lo, hi)
+    if not lo <= 0 <= hi:
+        raise ValueError("the lag range must contain 0")
+    return lo, hi
+
+
+def _positive_int(text):
+    if not text.isdigit() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def build_parser():
@@ -34,18 +52,18 @@ def build_parser():
     an = sub.add_parser("analyze", help="run the full analysis on a tick CSV")
     an.add_argument("--input", required=True,
                     help="tick CSV (unixtime,price,amount), .gz accepted")
-    an.add_argument("--delta-t", type=int, default=120,
+    an.add_argument("--delta-t", type=_positive_int, default=120,
                     help="sampling interval in seconds (86400 = daily)")
     an.add_argument("--gap-policy", choices=[CARRY_FORWARD, DROP_INTERVAL],
                     default=CARRY_FORWARD)
-    an.add_argument("--d-grid", type=_span(3), default=[0.1, 3.0, 0.1],
+    an.add_argument("--d-grid", type=_span(3, power_grid), default="0.1:3.0:0.1",
                     metavar="LO:HI:STEP",
                     help="power grid for |r|^d (default 0.1:3.0:0.1)")
-    an.add_argument("--lags", type=_span(2), default=[-200.0, 200.0],
+    an.add_argument("--lags", type=_span(2, _lag_span), default="-200:200",
                     metavar="LO:HI",
                     help="signed lag grid (default -200:200; write "
                          "--lags=-200:200 for negative bounds)")
-    an.add_argument("--fit-range", type=_span(2), default=[1.0, 200.0],
+    an.add_argument("--fit-range", type=_span(2, _int_span), default="1:200",
                     metavar="LO:HI",
                     help="positive-lag fit window (default 1:200)")
     an.add_argument("--jk-blocks", type=int, default=100,
@@ -77,15 +95,12 @@ def build_parser():
 
 
 def cmd_analyze(args):
-    lag_lo, lag_hi = (int(v) for v in args.lags)
-    fit_lo, fit_hi = (int(v) for v in args.fit_range)
-    d_lo, d_hi, d_step = args.d_grid
     cfg = AnalysisConfig(
         delta_t=args.delta_t,
         gap_policy=args.gap_policy,
-        d_grid=power_grid(d_lo, d_hi, d_step),
-        lag_min=lag_lo, lag_max=lag_hi,
-        fit_lo=fit_lo, fit_hi=fit_hi,
+        d_grid=args.d_grid,
+        lag_min=args.lags[0], lag_max=args.lags[1],
+        fit_lo=args.fit_range[0], fit_hi=args.fit_range[1],
         jk_blocks=args.jk_blocks,
         fit_filter=args.fit_filter,
         workers=args.workers,

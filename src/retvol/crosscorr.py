@@ -10,10 +10,11 @@ correlation) and E averages the N - |j| overlapping pairs. Positive j
 means the powered series lies in the future of the return series;
 negative j pairs returns with past volatility.
 
-Profiles over many lags can be evaluated either by per-lag dot products
-or via FFT cross-correlation (`numpy.fft`); both must agree with the
-brute-force definition, which is the normative reference (tests enforce
-1e-10).
+A profile is evaluated by per-lag dot products or by FFT
+cross-correlation (`numpy.fft`), whichever the cost model expects to be
+cheaper; a single lag always takes the dot product. Both must agree
+with the brute-force definition, which is the normative reference
+(tests enforce 1e-10).
 """
 
 import math
@@ -72,6 +73,9 @@ class SweepResult:
 
 def power_grid(lo=0.1, hi=3.0, step=0.1):
     """Inclusive d grid with exactly representable decimal values."""
+    if not (step > 0 and hi >= lo and math.isfinite(hi - lo)):
+        raise ValueError(f"d grid needs finite bounds, step > 0 and "
+                         f"hi >= lo, got {lo}:{hi}:{step}")
     n = int(round((hi - lo) / step))
     grid = [round(lo + k * step, 10) for k in range(n + 1)]
     if not all(g > 0 for g in grid):
@@ -135,9 +139,7 @@ def next_fast_len(n, real=False):
     return min(q << ((n - 1) // q).bit_length() for q in odd)
 
 
-def _pick_method(n, lags, method):
-    if method != "auto":
-        return method
+def _pick_method(n, lags):
     max_abs = int(np.max(np.abs(lags))) if len(lags) else 0
     nfft = next_fast_len(n + max_abs + 1)
     direct_cost = 2.0 * n * len(lags)
@@ -154,18 +156,16 @@ class _LagKernel:
     vector, many powers) cheap.
     """
 
-    def __init__(self, rv, lags, method="auto"):
+    def __init__(self, rv, lags):
         self.n = len(rv)
         self.lags, self.pairs = _check_lags(self.n, lags)
         self.rc, self.sig_r = _centered(rv)
-        self.how = _pick_method(self.n, self.lags, method)
+        self.how = _pick_method(self.n, self.lags)
         if self.how == "fft":
             max_abs = int(np.max(np.abs(self.lags)))
             self.nfft = next_fast_len(self.n + max_abs + 1)
             self.rc_fft = np.conj(np.fft.rfft(self.rc, self.nfft))
             self.idx = np.where(self.lags >= 0, self.lags, self.nfft + self.lags)
-        elif self.how != "direct":
-            raise ValueError(f"unknown method {self.how!r}")
 
     def values(self, pv):
         if len(pv) != self.n:
@@ -179,9 +179,9 @@ class _LagKernel:
         return sums / self.pairs / (self.sig_r * sig_p)
 
 
-def _profile_values(rv, pv, lags, method="auto"):
+def _profile_values(rv, pv, lags):
     """CC values over `lags` for raw arrays rv (returns) and pv (powered)."""
-    kernel = _LagKernel(rv, lags, method=method)
+    kernel = _LagKernel(rv, lags)
     return kernel.values(pv), kernel.pairs
 
 
@@ -207,22 +207,17 @@ def cross_correlation(r, pw, j):
     DegenerateVariance
         Either series is constant.
     """
-    values, _ = _profile_values(r.values, pw.values, [int(j)], method="direct")
+    values, _ = _profile_values(r.values, pw.values, [int(j)])
     return float(values[0])
 
 
-def correlation_profile(r, d, lag_min, lag_max, method="auto"):
-    """CC_d(j) for every lag in [lag_min, lag_max].
-
-    The lag grid must straddle zero. `method` picks the evaluation
-    strategy ("direct", "fft", or "auto" by estimated cost); the result
-    is the same to well below 1e-10 either way.
-    """
+def correlation_profile(r, d, lag_min, lag_max):
+    """CC_d(j) for every lag in [lag_min, lag_max]; the grid must straddle 0."""
     if not (lag_min <= 0 <= lag_max):
         raise ValueError("lag range must contain 0")
     lags = np.arange(lag_min, lag_max + 1, dtype=np.int64)
     pw = abs_power(r, d)
-    values, pairs = _profile_values(r.values, pw.values, lags, method=method)
+    values, pairs = _profile_values(r.values, pw.values, lags)
     return CorrelationProfile(float(d), lags, values, pairs)
 
 
@@ -247,14 +242,14 @@ def sweep_grid(r, d_grid, lag_min, lag_max):
         CorrelationProfile(d, lags, None, pairs) for d in d_grid])
 
 
-def sweep_powers(r, d_grid, lag_min, lag_max, method="auto"):
+def sweep_powers(r, d_grid, lag_min, lag_max):
     """One correlation profile per power d, over a shared lag grid.
 
     Every power is correlated with the same centred returns, whose
     transform is computed once.
     """
     sweep = sweep_grid(r, d_grid, lag_min, lag_max)
-    kernel = _LagKernel(r.values, sweep.profiles[0].lags, method=method)
+    kernel = _LagKernel(r.values, sweep.profiles[0].lags)
     return SweepResult(sweep.d_grid, [
         CorrelationProfile(p.d, p.lags, kernel.values(abs_power(r, p.d).values),
                            p.pair_counts)

@@ -45,19 +45,6 @@ PARAM_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class FitPoint:
-    """One weighted data point (x, y, sigma) with sigma > 0."""
-
-    x: float
-    y: float
-    sigma: float
-
-    def __post_init__(self):
-        if not self.sigma > 0:
-            raise NonPositiveSigma(f"sigma must be > 0, got {self.sigma}")
-
-
 @dataclass
 class FitPoints:
     """Arrays of weighted points; the unit every fitter consumes."""
@@ -77,12 +64,6 @@ class FitPoints:
 
     def __len__(self):
         return len(self.x)
-
-    @classmethod
-    def from_points(cls, points):
-        return cls(np.array([p.x for p in points]),
-                   np.array([p.y for p in points]),
-                   np.array([p.sigma for p in points]))
 
 
 @dataclass

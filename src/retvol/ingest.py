@@ -47,21 +47,6 @@ _RETRY_LINES = 128
 _NEWLINE, _COMMA = ord("\n"), ord(",")
 
 
-@dataclass(frozen=True)
-class TickRecord:
-    """One trade: integer unix seconds, price in quote currency, volume."""
-
-    timestamp: int
-    price: float
-    volume: float
-
-    def __post_init__(self):
-        if not self.price > 0:
-            raise ValueError(f"price must be > 0, got {self.price}")
-        if self.volume < 0:
-            raise ValueError(f"volume must be >= 0, got {self.volume}")
-
-
 @dataclass
 class TickSeries:
     """Column-oriented trade series, sorted by timestamp.
@@ -79,28 +64,12 @@ class TickSeries:
     def __len__(self):
         return len(self.timestamps)
 
-    def record(self, i):
-        return TickRecord(int(self.timestamps[i]), float(self.prices[i]),
-                          float(self.volumes[i]))
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self.record(i)
-
     def __eq__(self, other):
         if not isinstance(other, TickSeries):
             return NotImplemented
         return (np.array_equal(self.timestamps, other.timestamps)
                 and np.array_equal(self.prices, other.prices)
                 and np.array_equal(self.volumes, other.volumes))
-
-    @classmethod
-    def from_records(cls, records, source_label=""):
-        ts = np.array([r.timestamp for r in records], dtype=np.int64)
-        ps = np.array([r.price for r in records], dtype=np.float64)
-        vs = np.array([r.volume for r in records], dtype=np.float64)
-        order = np.argsort(ts, kind="stable")
-        return cls(ts[order], ps[order], vs[order], source_label=source_label)
 
 
 def _parse_line(line, line_no):

@@ -38,19 +38,14 @@ from .crosscorr import (CorrelationProfile, SweepResult, _check_lags,
 from .errors import ConfigInvalid, DegenerateVariance
 from .returns import abs_power
 
-DELETE_ONE_BLOCK = "delete_one_block"
-
 
 @dataclass(frozen=True)
 class JackknifeConfig:
-    """Block count and scheme; each block must keep >= 20 points."""
+    """Delete-one-block block count; each block must keep >= 20 points."""
 
     n_blocks: int = 100
-    scheme: str = DELETE_ONE_BLOCK
 
     def __post_init__(self):
-        if self.scheme != DELETE_ONE_BLOCK:
-            raise ConfigInvalid(f"unknown jackknife scheme {self.scheme!r}")
         if self.n_blocks < 2:
             raise ConfigInvalid("n_blocks must be >= 2")
 
@@ -263,13 +258,6 @@ def jackknife_sigma(r, d, lags, cfg=JackknifeConfig(), workers=1):
         sigma(j) >= 0 aligned with `lags`.
     """
     return _sweep(r, [float(d)], lags, cfg)[1][0]
-
-
-def profile_with_sigmas(r, profile, cfg=JackknifeConfig()):
-    """Copy of `profile` with jackknife sigmas attached."""
-    sig = jackknife_sigma(r, profile.d, profile.lags, cfg=cfg)
-    return CorrelationProfile(profile.d, profile.lags, profile.values,
-                              profile.pair_counts, sigmas=sig)
 
 
 def sweep_with_sigmas(r, sweep, cfg=JackknifeConfig(), workers=1):

@@ -69,6 +69,23 @@ def test_bad_grid_argument(tmp_path, capsys):
               "--out-dir", str(tmp_path / "y")])
 
 
+@pytest.mark.parametrize("flag", [
+    "--d-grid=1:2:0",      # zero step
+    "--d-grid=2:1:0.1",    # empty grid
+    "--lags=5:10",         # lag range without 0
+    "--delta-t=0",
+])
+def test_bad_flag_is_a_usage_error(tmp_path, capsys, flag):
+    # the input does not exist: the flag is rejected before it is read
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--input", str(tmp_path / "absent.csv"), flag,
+              "--out-dir", str(tmp_path / "y")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"argument {flag.split('=')[0]}" in err
+    assert not (tmp_path / "y").exists()
+
+
 def test_synth_nonstationary_spec_fails_cleanly(tmp_path, capsys):
     rc = main(["synth", "--kind", "garch", "--n", "1000", "--seed", "1",
                "--a-arch", "0.2", "--b-garch", "0.9",

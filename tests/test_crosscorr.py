@@ -7,7 +7,7 @@ from oracles import oracle_cc
 from retvol import errors
 from retvol.crosscorr import (correlation_profile, cross_correlation,
                               next_fast_len, power_grid, sweep_grid,
-                              sweep_powers, _profile_values)
+                              sweep_powers, _LagKernel, _profile_values)
 from retvol.returns import NormalizedReturns, abs_power, standardize
 from retvol.returns import ReturnSeries
 from retvol.rng import standard_normals
@@ -81,19 +81,22 @@ def test_profile_matches_single_lag_exactly():
 
 
 def test_fft_agrees_with_direct():
+    # a profile this wide takes the FFT; a single lag always the dot product
     nr = normalized(4, 5000)
+    assert _LagKernel(nr.values, np.arange(-64, 65)).how == "fft"
     for d in (0.3, 1.0, 2.7):
-        a = correlation_profile(nr, d, -64, 64, method="direct")
-        b = correlation_profile(nr, d, -64, 64, method="fft")
-        assert np.max(np.abs(a.values - b.values)) < 1e-13
+        prof = correlation_profile(nr, d, -64, 64)
+        pw = abs_power(nr, d)
+        direct = [cross_correlation(nr, pw, int(j)) for j in prof.lags]
+        assert np.max(np.abs(prof.values - direct)) < 1e-13
 
 
 def test_fft_matches_oracle_at_scale():
     nr = normalized(44, 30000)
-    prof = correlation_profile(nr, 1.4, -16, 16, method="fft")
-    for j in (-16, -3, 0, 5, 16):
-        k = int(np.searchsorted(prof.lags, j))
-        assert abs(prof.values[k] - oracle_cc(nr.values, 1.4, j)) < 1e-10
+    assert _LagKernel(nr.values, np.arange(-200, 201)).how == "fft"
+    prof = correlation_profile(nr, 1.4, -200, 200)
+    for j in (-200, -57, -3, 0, 5, 16, 133, 200):
+        assert abs(prof.value_at(j) - oracle_cc(nr.values, 1.4, j)) < 1e-10
 
 
 def test_sign_antisymmetry_is_exact():

@@ -9,7 +9,7 @@ import pytest
 from oracles import oracle_decay_chi2, oracle_fit, oracle_weighted_quadratic
 from retvol import errors
 from retvol.crosscorr import CorrelationProfile, power_grid, sweep_grid
-from retvol.fitting import (FitPoint, FitPoints, compare_models,
+from retvol.fitting import (FitPoints, compare_models,
                             fit_exponential, fit_points_from_profile,
                             fit_power_law, fit_quadratic_gamma,
                             long_range_flag)
@@ -214,13 +214,14 @@ def test_exponential_fit_to_increasing_data_raises_with_last_result():
     assert fit_power_law(pts, (1, 20)).params[1] < 0
 
 
-def test_fit_point_and_points_validation():
-    with pytest.raises(ValueError):
-        FitPoint(1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
+def test_fit_points_validation():
+    with pytest.raises(errors.NonPositiveSigma):
         FitPoints(np.array([1.0]), np.array([1.0]), np.array([-1.0]))
-    pts = FitPoints.from_points([FitPoint(1, 2, 0.1), FitPoint(2, 1, 0.2)])
-    assert len(pts) == 2
+    with pytest.raises(errors.NonPositiveSigma):
+        FitPoints(np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.array([0.1, 0.0]))
+    with pytest.raises(ValueError):
+        FitPoints(np.array([1.0, 2.0]), np.array([1.0]), np.array([0.1]))
+    assert len(FitPoints([1, 2], [2, 1], [0.1, 0.2])) == 2
 
 
 def test_fit_points_from_profile():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from retvol import errors
-from retvol.ingest import (TickRecord, TickSeries, deduplicate, parse_tick_csv,
+from retvol.ingest import (TickSeries, deduplicate, parse_tick_csv,
                            read_tick_file, serialize_tick_csv)
 
 
@@ -16,8 +16,8 @@ def parse(text, strictness="strict"):
 def test_single_record_field_mapping():
     ts = parse("1420848000,280.00,1.5\n")
     assert len(ts) == 1
-    rec = ts.record(0)
-    assert rec == TickRecord(1420848000, 280.00, 1.5)
+    assert ts.timestamps.dtype == np.int64 and ts.timestamps[0] == 1420848000
+    assert ts.prices[0] == 280.00 and ts.volumes[0] == 1.5
 
 
 def test_malformed_line_strict():
@@ -131,13 +131,6 @@ def test_gzip_file_roundtrip(tmp_path):
     ts = read_tick_file(path)
     assert len(ts) == 2
     assert ts.source_label.endswith("ticks.csv.gz")
-
-
-def test_tick_record_invariants():
-    with pytest.raises(ValueError):
-        TickRecord(0, -1.0, 0.0)
-    with pytest.raises(ValueError):
-        TickRecord(0, 1.0, -0.5)
 
 
 def test_timestamp_beyond_int64_is_a_malformed_line():

@@ -4,8 +4,8 @@ import pytest
 from oracles import oracle_jackknife_sigma
 from retvol import errors
 from retvol.jackknife import (JackknifeConfig, block_bounds, jackknife_sigma,
-                              profile_with_sigmas, sweep_with_sigmas)
-from retvol.crosscorr import correlation_profile, sweep_grid, sweep_powers
+                              sweep_with_sigmas)
+from retvol.crosscorr import sweep_grid, sweep_powers
 from retvol.returns import NormalizedReturns, ReturnSeries, standardize
 from retvol.rng import standard_normals
 
@@ -18,8 +18,6 @@ def normalized(seed, n):
 def test_config_invariants():
     with pytest.raises(errors.ConfigInvalid):
         JackknifeConfig(n_blocks=1)
-    with pytest.raises(errors.ConfigInvalid):
-        JackknifeConfig(scheme="delete_one_point")
     cfg = JackknifeConfig(n_blocks=100)
     with pytest.raises(errors.ConfigInvalid):
         cfg.validate_for(1999)  # blocks of <20 points
@@ -117,17 +115,13 @@ def test_lag_out_of_range_in_reduced_series():
 
 def test_profile_and_sweep_attachment():
     nr = normalized(79, 3000)
-    prof = correlation_profile(nr, 2.0, -10, 10)
-    assert prof.sigmas is None
-    withsig = profile_with_sigmas(nr, prof, JackknifeConfig(10))
-    assert withsig.sigmas is not None and len(withsig.sigmas) == len(prof)
-    assert np.array_equal(withsig.values, prof.values)
-
     sweep = sweep_powers(nr, [1.0, 2.0], -10, 10)
+    assert all(p.sigmas is None for p in sweep.profiles)
     swsig = sweep_with_sigmas(nr, sweep, JackknifeConfig(10))
     for p, q in zip(sweep.profiles, swsig.profiles):
         direct = jackknife_sigma(nr, p.d, p.lags, JackknifeConfig(10))
         assert np.array_equal(q.sigmas, direct)
+        assert len(q.sigmas) == len(p)
 
 
 def test_sweep_sigma_workers_bit_identical():
