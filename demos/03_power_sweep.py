@@ -14,7 +14,7 @@ import numpy as np
 
 from retvol import (FitPoints, GarchSpec, JackknifeConfig, fit_points_from_profile,
                     fit_power_law, fit_quadratic_gamma, gen_asym_garch,
-                    power_grid, standardize, sweep_grid, sweep_with_sigmas)
+                    power_grid, standardize, sweep_with_sigmas)
 
 # leverage-generating market; heavier tails than the iid null
 spec = GarchSpec(omega=0.05, a_arch=0.05, b_garch=0.88, leverage=0.08,
@@ -23,8 +23,7 @@ nr = standardize(gen_asym_garch(spec))
 print(f"{len(nr)} normalized returns; sweeping d over the 0.2..3.0 grid\n")
 
 grid = power_grid(0.2, 3.0, 0.2)
-sweep = sweep_with_sigmas(nr, sweep_grid(nr, grid, -60, 60), JackknifeConfig(50),
-                          workers=2)
+sweep = sweep_with_sigmas(nr, grid, -60, 60, JackknifeConfig(50), workers=2)
 
 rows = []
 for prof in sweep.profiles:

@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from . import errors
 from .crosscorr import (CorrelationProfile, SweepResult, correlation_profile,
-                        cross_correlation, power_grid, sweep_grid, sweep_powers)
+                        cross_correlation, power_grid, sweep_powers)
 from .fitting import (FitPoints, FitResult, ModelComparison, compare_models,
                       fit_exponential, fit_points_from_profile, fit_power_law,
                       fit_quadratic_gamma, long_range_flag)

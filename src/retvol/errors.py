@@ -40,8 +40,8 @@ class LagOutOfRange(RetvolError):
     """Requested lag leaves too few overlapping pairs."""
 
 
-class ConfigInvalid(RetvolError):
-    """A configuration object violates its invariants."""
+class ConfigInvalid(RetvolError, ValueError):
+    """A configuration object or argument violates its invariants."""
 
 
 class NonPositiveSigma(RetvolError, ValueError):
@@ -84,10 +84,6 @@ class WrongModel(RetvolError):
 
 class MissingSigmas(RetvolError):
     """Profile export requires jackknife sigmas which are absent."""
-
-
-class MissingValues(RetvolError):
-    """A profile from `sweep_grid` holds no CC values until a sweep fills it."""
 
 
 class NonStationarySpec(RetvolError):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crosscorr import (CorrelationProfile, SweepResult, _check_lags,
-                        next_fast_len)
+                        _sweep_lags, next_fast_len)
 from .errors import ConfigInvalid, DegenerateVariance
 from .returns import abs_power
 
@@ -117,8 +117,7 @@ class _Deletions:
         mine = np.where(rb >= 0, own[rb], n_seg)
         x_lo = seg_lo[rt] - gone * (rt > mine)
         x_hi = seg_hi[rt] - gone * (rt >= mine)
-        self.nfft = next_fast_len(int(np.max(x_hi - x_lo)) + left + right,
-                                  real=True)
+        self.nfft = next_fast_len(int(np.max(x_hi - x_lo)) + left + right)
         pos = (x_lo - left)[:, None] + np.arange(self.nfft)
         full = self._full_index(pos, rb[:, None])
         # index n is the zero appended to every series
@@ -260,18 +259,19 @@ def jackknife_sigma(r, d, lags, cfg=JackknifeConfig(), workers=1):
     return _sweep(r, [float(d)], lags, cfg)[1][0]
 
 
-def sweep_with_sigmas(r, sweep, cfg=JackknifeConfig(), workers=1):
-    """CC values and jackknife sigmas for every profile of a power sweep.
+def sweep_with_sigmas(r, d_grid, lag_min, lag_max, cfg=JackknifeConfig(),
+                      workers=1):
+    """CC_d(j) and its jackknife sigma for every d in `d_grid` and every
+    lag in [lag_min, lag_max].
 
-    One pass per power gives both; only the powers, lags and pair
-    counts of `sweep` are read, so a `sweep_grid` result (values None)
-    will do. The values agree with `sweep_powers` to rounding, and each
-    profile's sigmas equal `jackknife_sigma` at its power bit for bit.
-    The powers are spread over `workers` threads, which changes no
-    result.
+    The grid and lags are checked as in `sweep_powers`, and one pass per
+    power gives both values and sigmas. The values agree with
+    `sweep_powers` to rounding, and each profile's sigmas equal
+    `jackknife_sigma` at its power bit for bit. The powers are spread
+    over `workers` threads, which changes no result.
     """
-    values, sigmas = _sweep(r, [p.d for p in sweep.profiles],
-                            sweep.profiles[0].lags, cfg, workers)
-    return SweepResult(sweep.d_grid, [
-        CorrelationProfile(p.d, p.lags, v, p.pair_counts, sigmas=s)
-        for p, v, s in zip(sweep.profiles, values, sigmas)])
+    ds, lags, pairs = _sweep_lags(len(r), d_grid, lag_min, lag_max)
+    values, sigmas = _sweep(r, ds, lags, cfg, workers)
+    return SweepResult(np.asarray(ds), [
+        CorrelationProfile(d, lags, v, pairs, sigmas=s)
+        for d, v, s in zip(ds, values, sigmas)])

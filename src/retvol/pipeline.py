@@ -4,10 +4,9 @@ import platform
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from . import __version__
-from .crosscorr import power_grid, sweep_grid, sweep_powers
+from .crosscorr import power_grid, sweep_powers
 from .errors import (ConfigInvalid, InsufficientPoints, LagOutOfRange,
                      NoConvergence, NonPositiveData, NonPositiveSigma,
                      RetvolError)
@@ -66,13 +65,14 @@ def analyze_ticks(ticks, cfg=AnalysisConfig()):
     rets = apply_gap_policy(log_returns(prices))
     r = standardize(rets)
 
-    sweep = sweep_grid(r, cfg.d_grid, cfg.lag_min, cfg.lag_max)
     try:
         jk = JackknifeConfig(n_blocks=cfg.jk_blocks)
-        sweep = sweep_with_sigmas(r, sweep, cfg=jk, workers=cfg.workers)
+        sweep = sweep_with_sigmas(r, cfg.d_grid, cfg.lag_min, cfg.lag_max,
+                                  cfg=jk, workers=cfg.workers)
     except (ConfigInvalid, LagOutOfRange):
-        # a constant full series is reported before a block count or a
-        # lag range that only the deletions rule out
+        # a bad grid or full-series lag range is reported first, then a
+        # constant series, then a block count or a lag range that only
+        # the deletions rule out
         sweep_powers(r, cfg.d_grid, cfg.lag_min, cfg.lag_max)
         raise
 
@@ -136,7 +136,6 @@ def analyze_ticks(ticks, cfg=AnalysisConfig()):
         "versions": {
             "retvol": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
     }

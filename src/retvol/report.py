@@ -86,14 +86,12 @@ def read_profile_csv(path):
 
 
 def emit_gamma_kappa_table(power_fits, path):
-    """Write the per-d power-law fit table and return argmax_d kappa.
+    """Write the per-d power-law fit table.
 
-    `power_fits` maps d to the power-law FitResult. kappa is the fitted
-    cross-correlation strength at lag 1.
+    `power_fits` maps d to the power-law FitResult, or None where the
+    fit failed. kappa is the fitted cross-correlation strength at lag 1.
     """
     lines = [GAMMA_KAPPA_HEADER]
-    best_d = None
-    best_kappa = -math.inf
     for d in sorted(power_fits):
         fit = power_fits[d]
         if fit is None:
@@ -102,10 +100,7 @@ def emit_gamma_kappa_table(power_fits, path):
         kerr, gerr = fit.param_errors
         lines.append(f"{_r(d)},{_r(gamma)},{_r(gerr)},{_r(kappa)},{_r(kerr)},"
                      f"{_r(fit.reduced_chi2)}")
-        if kappa > best_kappa:
-            best_kappa, best_d = float(kappa), float(d)
     Path(path).write_text("\n".join(lines) + "\n")
-    return best_d
 
 
 def format_value_error(value, err, err_digits=2):
@@ -150,9 +145,9 @@ def _jsonable(obj):
     return obj
 
 
-def fit_to_json(fit, provenance=None):
+def fit_to_json(fit):
     """Machine-readable record of one fit."""
-    out = {
+    return {
         "model": fit.model,
         "param_names": list(PARAM_NAMES[fit.model]),
         "params": _jsonable(fit.params),
@@ -163,9 +158,6 @@ def fit_to_json(fit, provenance=None):
         "n_points": int(fit.n_points),
         "excluded_points": _jsonable(fit.excluded_x),
     }
-    if provenance is not None:
-        out["provenance"] = _jsonable(provenance)
-    return out
 
 
 FIT_PROVENANCE = {
@@ -258,7 +250,7 @@ def write_report(report, out_dir):
         emit_profile_csv(prof, out / name)
         profile_files.append(name)
 
-    argmax = emit_gamma_kappa_table(report.power_fits, out / "gamma_kappa.csv")
+    emit_gamma_kappa_table(report.power_fits, out / "gamma_kappa.csv")
 
     fits_doc = {"provenance": FIT_PROVENANCE, "fits": []}
     for d in sorted(report.power_fits):
@@ -279,7 +271,7 @@ def write_report(report, out_dir):
 
     body = {
         "metadata": _jsonable(report.metadata),
-        "argmax_kappa_d": argmax,
+        "argmax_kappa_d": report.argmax_kappa_d,
         "long_range": _jsonable({f"{d:g}": v for d, v in report.long_range.items()}),
         "files": profile_files + ["gamma_kappa.csv", "fits.json", "summary.txt"],
         "comparisons": {
@@ -296,4 +288,4 @@ def write_report(report, out_dir):
     }
     (out / "report.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return {"out_dir": str(out), "files": body["files"], "body_sha256": digest,
-            "argmax_kappa_d": argmax}
+            "argmax_kappa_d": report.argmax_kappa_d}

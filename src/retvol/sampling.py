@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData
+from .errors import ConfigInvalid, InsufficientData
 
 CARRY_FORWARD = "carry_forward"
 DROP_INTERVAL = "drop_interval"
@@ -72,14 +72,16 @@ def resample(ticks, delta_t, gap_policy=CARRY_FORWARD):
 
     Raises
     ------
+    ConfigInvalid
+        delta_t <= 0 or an unknown gap_policy.
     InsufficientData
         Fewer than 2 grid points are covered by the ticks.
     """
     delta_t = int(delta_t)
     if delta_t <= 0:
-        raise ValueError("delta_t must be a positive number of seconds")
+        raise ConfigInvalid("delta_t must be a positive number of seconds")
     if gap_policy not in (CARRY_FORWARD, DROP_INTERVAL):
-        raise ValueError(f"unknown gap_policy {gap_policy!r}")
+        raise ConfigInvalid(f"unknown gap_policy {gap_policy!r}")
     n = len(ticks)
     if n == 0:
         raise InsufficientData("empty tick series")

@@ -5,9 +5,11 @@ import pytest
 
 from oracles import oracle_cc
 from retvol import errors
+from retvol import crosscorr
 from retvol.crosscorr import (correlation_profile, cross_correlation,
-                              next_fast_len, power_grid, sweep_grid,
-                              sweep_powers, _LagKernel, _profile_values)
+                              next_fast_len, power_grid, sweep_powers,
+                              _profile_values)
+from retvol.jackknife import JackknifeConfig, sweep_with_sigmas
 from retvol.returns import NormalizedReturns, abs_power, standardize
 from retvol.returns import ReturnSeries
 from retvol.rng import standard_normals
@@ -80,20 +82,25 @@ def test_profile_matches_single_lag_exactly():
     assert np.array_equal(prof.pair_counts, 1000 - np.abs(prof.lags))
 
 
-def test_fft_agrees_with_direct():
+def no_direct_sums(*args):
+    raise AssertionError("per-lag dot products where the FFT should run")
+
+
+def test_fft_agrees_with_direct(monkeypatch):
     # a profile this wide takes the FFT; a single lag always the dot product
     nr = normalized(4, 5000)
-    assert _LagKernel(nr.values, np.arange(-64, 65)).how == "fft"
     for d in (0.3, 1.0, 2.7):
-        prof = correlation_profile(nr, d, -64, 64)
+        with monkeypatch.context() as m:
+            m.setattr(crosscorr, "_lag_sums_direct", no_direct_sums)
+            prof = correlation_profile(nr, d, -64, 64)
         pw = abs_power(nr, d)
         direct = [cross_correlation(nr, pw, int(j)) for j in prof.lags]
         assert np.max(np.abs(prof.values - direct)) < 1e-13
 
 
-def test_fft_matches_oracle_at_scale():
+def test_fft_matches_oracle_at_scale(monkeypatch):
     nr = normalized(44, 30000)
-    assert _LagKernel(nr.values, np.arange(-200, 201)).how == "fft"
+    monkeypatch.setattr(crosscorr, "_lag_sums_direct", no_direct_sums)
     prof = correlation_profile(nr, 1.4, -200, 200)
     for j in (-200, -57, -3, 0, 5, 16, 133, 200):
         assert abs(prof.value_at(j) - oracle_cc(nr.values, 1.4, j)) < 1e-10
@@ -164,12 +171,11 @@ def test_sweep_matches_profiles_and_is_deterministic():
     assert np.array_equal(sweep.profile_for(1.0).values, lone.values)
 
 
-@pytest.mark.parametrize("real", [False, True])
-def test_next_fast_len_matches_scipy(real):
+def test_next_fast_len_matches_scipy():
     from scipy.fft import next_fast_len as oracle
     sample = np.random.default_rng(7).integers(20001, 10**7 + 1, 2000)
     for n in list(range(1, 20001)) + sample.tolist():
-        assert next_fast_len(n, real=real) == oracle(n, real=real), n
+        assert next_fast_len(n) == oracle(n, real=True), n
 
 
 def test_sweep_thirty_powers():
@@ -178,14 +184,19 @@ def test_sweep_thirty_powers():
     assert len(sweep.profiles) == 30
 
 
-def test_sweep_rejects_bad_grids():
+@pytest.mark.parametrize("sweep", [
+    sweep_powers,
+    lambda *args: sweep_with_sigmas(*args, cfg=JackknifeConfig(5)),
+], ids=["sweep_powers", "sweep_with_sigmas"])
+def test_sweep_rejects_bad_grids(sweep):
     nr = normalized(14, 500)
-    with pytest.raises(ValueError):
-        sweep_powers(nr, [], -5, 5)
-    with pytest.raises(ValueError):
-        sweep_powers(nr, [0.5, 0.5], -5, 5)
-    with pytest.raises(ValueError):
-        sweep_powers(nr, [-1.0, 2.0], -5, 5)
+    for grid, lo, hi in [([], -5, 5), ([0.5, 0.5], -5, 5),
+                         ([2.0, 1.0], -5, 5), ([-1.0, 2.0], -5, 5),
+                         ([1.0], 1, 5)]:
+        with pytest.raises(errors.ConfigInvalid):
+            sweep(nr, grid, lo, hi)
+    with pytest.raises(errors.LagOutOfRange):
+        sweep(nr, [1.0], -5, 495)
 
 
 def test_profile_requires_zero_straddling_range():
@@ -193,9 +204,3 @@ def test_profile_requires_zero_straddling_range():
     with pytest.raises(ValueError):
         correlation_profile(nr, 2.0, 1, 10)
 
-
-def test_value_at_without_values_raises_typed_error():
-    prof = sweep_grid(normalized(12, 500), [1.0], -3, 3).profiles[0]
-    assert prof.values is None
-    with pytest.raises(errors.MissingValues):
-        prof.value_at(1)

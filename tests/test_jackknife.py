@@ -5,7 +5,7 @@ from oracles import oracle_jackknife_sigma
 from retvol import errors
 from retvol.jackknife import (JackknifeConfig, block_bounds, jackknife_sigma,
                               sweep_with_sigmas)
-from retvol.crosscorr import sweep_grid, sweep_powers
+from retvol.crosscorr import sweep_powers
 from retvol.returns import NormalizedReturns, ReturnSeries, standardize
 from retvol.rng import standard_normals
 
@@ -117,7 +117,7 @@ def test_profile_and_sweep_attachment():
     nr = normalized(79, 3000)
     sweep = sweep_powers(nr, [1.0, 2.0], -10, 10)
     assert all(p.sigmas is None for p in sweep.profiles)
-    swsig = sweep_with_sigmas(nr, sweep, JackknifeConfig(10))
+    swsig = sweep_with_sigmas(nr, [1.0, 2.0], -10, 10, JackknifeConfig(10))
     for p, q in zip(sweep.profiles, swsig.profiles):
         direct = jackknife_sigma(nr, p.d, p.lags, JackknifeConfig(10))
         assert np.array_equal(q.sigmas, direct)
@@ -126,25 +126,24 @@ def test_profile_and_sweep_attachment():
 
 def test_sweep_sigma_workers_bit_identical():
     nr = normalized(80, 5000)
-    sweep = sweep_powers(nr, [0.5, 1.0, 2.0], -30, 30)
-    a = sweep_with_sigmas(nr, sweep, JackknifeConfig(25), workers=1)
-    b = sweep_with_sigmas(nr, sweep, JackknifeConfig(25), workers=4)
+    a = sweep_with_sigmas(nr, [0.5, 1.0, 2.0], -30, 30, JackknifeConfig(25),
+                          workers=1)
+    b = sweep_with_sigmas(nr, [0.5, 1.0, 2.0], -30, 30, JackknifeConfig(25),
+                          workers=4)
     for pa, pb in zip(a.profiles, b.profiles):
         assert np.array_equal(pa.sigmas, pb.sigmas)
 
 
 def test_sweep_with_sigmas_computes_values_whatever_it_is_given():
     nr = normalized(86, 3000)
-    given = sweep_powers(nr, [0.5, 2.0, 3.0], -40, 40)
-    from_given = sweep_with_sigmas(nr, given, JackknifeConfig(30), workers=2)
-    empty = sweep_grid(nr, [0.5, 2.0, 3.0], -40, 40)
-    assert all(p.values is None and p.sigmas is None for p in empty.profiles)
-    one = sweep_with_sigmas(nr, empty, JackknifeConfig(30), workers=1)
-    many = sweep_with_sigmas(nr, empty, JackknifeConfig(30), workers=3)
-    for g, k, a, b in zip(given.profiles, from_given.profiles, one.profiles,
-                          many.profiles):
-        assert np.max(np.abs(k.values - g.values)) < 1e-14
-        for other in (k, b):
-            assert np.array_equal(other.values, a.values)
-            assert np.array_equal(other.sigmas, a.sigmas)
+    grid = [0.5, 2.0, 3.0]
+    plain = sweep_powers(nr, grid, -40, 40)
+    one = sweep_with_sigmas(nr, grid, -40, 40, JackknifeConfig(30), workers=1)
+    many = sweep_with_sigmas(nr, grid, -40, 40, JackknifeConfig(30), workers=3)
+    assert np.array_equal(one.d_grid, plain.d_grid)
+    for g, a, b in zip(plain.profiles, one.profiles, many.profiles):
+        assert a.d == g.d and np.array_equal(a.lags, g.lags)
+        assert np.max(np.abs(a.values - g.values)) < 1e-14
+        assert np.array_equal(b.values, a.values)
+        assert np.array_equal(b.sigmas, a.sigmas)
         assert np.array_equal(a.pair_counts, g.pair_counts)

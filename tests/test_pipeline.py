@@ -41,7 +41,7 @@ def test_metadata_records_conventions_and_span():
     assert md["carried_forward_fraction"] == 0.0
     assert "UTC midnight" in md["conventions"]["daily_boundary"]
     assert "sample standard deviation" in md["conventions"]["standardization"]
-    assert set(md["versions"]) == {"retvol", "numpy", "scipy", "python"}
+    assert set(md["versions"]) == {"retvol", "numpy", "python"}
     assert md["span_unix"][0] < md["span_unix"][1]
 
 
@@ -153,6 +153,17 @@ def test_report_bytes_identical_across_workers(tmp_path):
                     == (tmp_path / "w3" / name).read_bytes()), name
 
 
+@pytest.mark.parametrize("bad", [
+    {"delta_t": 0}, {"gap_policy": "nope"}, {"d_grid": [2.0, 1.0]},
+    {"d_grid": []}, {"lag_min": 1}], ids=[
+    "zero_delta_t", "unknown_gap_policy", "decreasing_d_grid", "empty_d_grid",
+    "lags_without_0"])
+def test_bad_config_is_a_typed_error(bad):
+    with pytest.raises(ConfigInvalid) as info:
+        analyze_ticks(garch_ticks(n=4000), small_cfg(**bad))
+    assert isinstance(info.value, ValueError)
+
+
 def alternating_ticks(n_returns):
     # prices alternate between two levels, so the returns are +c, -c, ...:
     # r is not constant, but every |r|^d is
@@ -172,7 +183,7 @@ def analysis_error(ticks, **kw):
 # the block count.
 def test_bad_grid_is_reported_first():
     assert analysis_error(alternating_ticks(400), d_grid=[2.0, 1.0],
-                          lag_max=500, jk_blocks=50) is ValueError
+                          lag_max=500, jk_blocks=50) is ConfigInvalid
 
 
 def test_full_series_lags_before_constant_series_and_blocks():

@@ -67,8 +67,7 @@ def test_gamma_kappa_table_and_argmax(tmp_path):
         fits[d] = fit_power_law(
             FitPoints(x, kappa * x ** (-gamma), np.full(50, 0.01)), (1, 50))
     path = tmp_path / "gk.csv"
-    best = emit_gamma_kappa_table(fits, path)
-    assert best == 1.4
+    emit_gamma_kappa_table(fits, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "d,gamma,gamma_err,kappa,kappa_err,chi2red"
     assert len(lines) == 4
@@ -89,11 +88,10 @@ def test_fit_json_contents():
     x = np.arange(1.0, 101.0)
     fit = fit_power_law(FitPoints(x, 0.5 * x ** (-0.7), np.full(100, 0.01)),
                         (1, 100))
-    doc = fit_to_json(fit, provenance={"note": "test"})
+    doc = fit_to_json(fit)
     assert doc["model"] == "power_law"
     assert doc["param_names"] == ["kappa", "gamma"]
     assert len(doc["covariance"]) == 2
-    assert doc["provenance"]["note"] == "test"
     json.dumps(doc)  # must be serializable as-is
 
 
@@ -129,6 +127,7 @@ def test_report_files_and_summary(tmp_path):
     manifest = write_report(report, tmp_path / "out")
     assert set(manifest["files"]) >= {"gamma_kappa.csv", "fits.json",
                                       "summary.txt"}
+    assert manifest["argmax_kappa_d"] == report.argmax_kappa_d
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert "quadratic exponent curve" in summary
     assert "max correlation strength" in summary
