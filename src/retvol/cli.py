@@ -79,11 +79,12 @@ def build_parser():
 
     sy = sub.add_parser("synth", help="emit a synthetic tick CSV")
     sy.add_argument("--kind", choices=["iid", "garch"], default="garch")
-    sy.add_argument("--n", type=int, default=100000, help="number of returns")
+    sy.add_argument("--n", type=_positive_int, default=100000,
+                    help="number of returns")
     sy.add_argument("--seed", type=int, default=1)
     sy.add_argument("--scale", type=float, default=0.002,
                     help="return scale applied to the generated series")
-    sy.add_argument("--delta-t", type=int, default=120,
+    sy.add_argument("--delta-t", type=_positive_int, default=120,
                     help="tick spacing in seconds")
     sy.add_argument("--p0", type=float, default=100.0, help="starting price")
     sy.add_argument("--omega", type=float, default=0.05)

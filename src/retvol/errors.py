@@ -24,6 +24,10 @@ class NonPositivePrice(RetvolError):
         super().__init__(f"non-positive price at line {line_no}")
 
 
+class UnreadableInput(RetvolError):
+    """An input file could not be opened, read or decompressed."""
+
+
 class EmptyInput(RetvolError):
     """Parsing produced zero valid records."""
 

@@ -1,33 +1,38 @@
 """Tick-data ingestion: headerless `unixtime,price,amount` CSV streams.
 
 The parser reads the stream in chunks of CHUNK_BYTES and never holds
-the whole text. Each chunk's lines are classified with numpy: a line
-with exactly two commas, no byte outside `0-9 . e E + -`, three
-non-empty fields and a timestamp of at most 18 plain digits is parsed
-together with the chunk's other such lines by one `np.loadtxt` call,
-and its values are checked vectorized. Every other line goes through
-`_parse_line`, which states the rules. If `np.loadtxt` rejects a
-chunk (as it does `10,1e,1`), its lines are retried in blocks of
-_RETRY_LINES, and the lines of a rejected block go through
-`_parse_line` too. Either path
-gives a line the same record, skip or strict-mode error. Files and
-byte streams are read as ASCII (a non-ASCII byte becomes U+FFFD) with
-universal newlines; text streams are split on "\n" only. Records come
-out as numpy arrays sorted by timestamp (stable, so trades that share a
-timestamp keep file order).
+the whole text. A vectorized reader parses a chunk's plain decimal
+lines: their non-digit bytes are `,,`, `,.,`, `,,.` or `,.,.` before
+the newline, the timestamp has 1 to 18 digits, and the price and
+volume have at most 24 bytes, 22 fraction digits and 18 significant
+digits. That covers every positional `repr` of a double from 1e-4 to
+1e16 and fixed-decimal exchange fields. Each value is the double
+`float()` gives (`_round_exact` holds the argument); a rounding it
+cannot prove, such as an exact tie, is declined. A fast line's only
+possible fault is a zero price, checked vectorized. Every other line
+(a sign, an exponent such as `1e-05`, `nan`, spaces, more digits, a
+`\r` in a text stream, a non-ASCII byte, the wrong field count) goes
+through `_parse_line`, which states the rules: either path gives a
+line the same record, skip or strict-mode error.
+
+Files and byte streams are read as ASCII (a non-ASCII byte becomes
+U+FFFD) with universal newlines; text streams are split on "\n" only.
+Records come out as numpy arrays sorted by timestamp (stable, so trades
+that share a timestamp keep file order).
 
 Duplicates can only share a timestamp, so `deduplicate` compares only
 the rows in runs of equal timestamps of a sorted series.
 """
 
 import gzip
-import io
 import math
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, MalformedLine, NonPositivePrice, RetvolError
+from .errors import (EmptyInput, MalformedLine, NonPositivePrice, RetvolError,
+                     UnreadableInput)
 
 STRICT = "strict"
 LENIENT = "lenient"
@@ -38,13 +43,22 @@ _SERIALIZE_ROWS = 1 << 16
 
 _RECORD = np.dtype([("t", np.int64), ("p", np.float64), ("v", np.float64)])
 _INT64 = np.iinfo(np.int64)
-# every timestamp of at most 18 digits fits an int64
-_FAST_DIGITS = 18
-# lines per np.loadtxt retry of a rejected chunk: small enough that few
-# good lines go per line, large enough that dense rejects cost no more
-# than parsing the whole chunk per line
-_RETRY_LINES = 128
-_NEWLINE, _COMMA = ord("\n"), ord(",")
+_NEWLINE, _DOT = ord("\n"), ord(".")
+# fast fields: a timestamp of at most 18 digits fits an int64; a price
+# or volume is read as one 24-byte window with at most 22 fraction
+# digits, as 10**22 is the largest power of ten exact in a double
+_FAST_DIGITS, _WINDOW, _MAX_FRACTION = 18, 24, 22
+# the non-digit bytes of a fast line through its newline, little-endian
+_PATTERNS = [int.from_bytes(p, "little")
+             for p in (b",,\n", b",.,\n", b",,.\n", b",.,.\n")]
+_BYTE_MASKS = np.array([2**(8 * k) - 1 for k in range(9)], dtype=np.uint64)
+# row z: a window's three words masked to the digits after byte z
+_WINDOW_MASKS = np.array(
+    [[(0x0F0F0F0F0F0F0F0F << 8 * min(max(z - 8 * j, 0), 8)) & (2**64 - 1)
+      for j in range(3)] for z in range(_WINDOW + 1)], dtype=np.uint64)
+# 10**k as uint64, capped at 10**19: field values are below 10**19
+_POW10 = np.array([10**min(k, 19) for k in range(_WINDOW)], dtype=np.uint64)
+_POW10F = 10.0 ** np.arange(_MAX_FRACTION + 1)
 
 
 @dataclass
@@ -121,59 +135,114 @@ def _line_chunks(stream, text):
         tail = data[cut:] + held
 
 
-def _fast_lines(a, starts, ends):
-    """Mask of the lines that `np.loadtxt` parses as `_parse_line` would."""
-    low = a - np.uint8(ord("+"))
-    comma = a == _COMMA
-    exp = (a | np.uint8(0x20)) == ord("e")
-    allowed = ((low <= ord("9") - ord("+")) & (a != ord("/")) | exp
-               | (a == _NEWLINE))
-    other = np.flatnonzero(~allowed)
-    # + - . e E: part of a float, never of a fast-path timestamp; -1 is a
-    # sentinel so that every line has a last sign before its first comma
-    signs = np.concatenate(([-1], np.flatnonzero((low <= ord(".") - ord("+"))
-                                                 ^ comma | exp)))
-    commas = np.flatnonzero(comma)
-
-    # lines partition the chunk: counts up to a line end give per-line counts
-    upto = np.searchsorted(commas, ends)
-    first = np.concatenate(([0], upto[:-1]))
-    fast = (upto - first == 2) & (np.diff(np.searchsorted(other, ends),
-                                          prepend=0) == 0)
-    idx = np.flatnonzero(fast)
-    s, e = starts[idx], ends[idx]
-    c1, c2 = commas[first[idx]], commas[first[idx] + 1]
-    last_sign = signs[np.searchsorted(signs, c1) - 1]
-    fast[idx] = ((c1 > s) & (c1 - s <= _FAST_DIGITS) & (c2 > c1 + 1)
-                 & (e > c2 + 1) & (last_sign < s))
-    return fast
+def _split(x):
+    """Veltkamp split of x into two halves of at most 26 significant bits."""
+    c = (2.0**27 + 1) * x
+    hi = c - (c - x)
+    return hi, x - hi
 
 
-def _load_records(text, offsets):
-    """Parse the lines of `text`, line i spanning offsets[i:i+2].
+_P10_HI, _P10_LO = _split(_POW10F)
 
-    Returns the record arrays of the lines `np.loadtxt` accepts, in
-    order, and the numbers of the lines it does not. If it rejects the
-    whole text, each block of `_RETRY_LINES` lines is tried on its own,
-    and every line of a rejected block is returned as rejected.
+
+def _fast_fields(a):
+    """Line bounds of a chunk, and field bounds of its fast lines.
+
+    Returns the start and newline of every line; then, for the m lines
+    within the fast limits, their line numbers, field ends and lengths
+    (3, m), and the fraction digits and dot counts of price and volume
+    (2, m). The non-digit bytes place every comma, dot and newline.
     """
-    def load(lo, hi):
-        return np.loadtxt(io.BytesIO(text[offsets[lo]:offsets[hi]]),
-                          dtype=_RECORD, delimiter=",", comments=None, ndmin=1)
+    nd = np.flatnonzero(a - np.uint8(ord("0")) > 9)
+    b = np.concatenate((a[nd], np.zeros(8, dtype=np.uint8)))
+    nl = np.flatnonzero(b == _NEWLINE)
+    ends = nd[nl]
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    first = np.concatenate(([0], nl[:-1] + 1))
+    count = nl - first
+    # a line's non-digit bytes through its newline as one word
+    words = np.ndarray((len(b) - 7,), dtype="<u8", buffer=b, strides=(1,))
+    key = words[first] & _BYTE_MASKS[np.minimum(count + 1, 8)]
+    i = np.flatnonzero((key == _PATTERNS[0]) | (key == _PATTERNS[1])
+                       | (key == _PATTERNS[2]) | (key == _PATTERNS[3]))
+    k = first[i]
+    dot_p = b[k + 1] == _DOT
+    dot_v = count[i] - 2 - dot_p
+    c1, c2, e = nd[k], nd[k + 1 + dot_p], ends[i]
+    lt, lp, lv = c1 - starts[i], c2 - c1 - 1, e - c2 - 1
+    fp = np.where(dot_p, c2 - nd[k + 1], 1) - 1
+    fv = np.where(dot_v, e - nd[k + 2 + dot_p], 1) - 1
+    ok = ((lt >= 1) & (lt <= _FAST_DIGITS) & (lp > dot_p) & (lp <= _WINDOW)
+          & (lv > dot_v) & (lv <= _WINDOW) & (fp <= _MAX_FRACTION)
+          & (fv <= _MAX_FRACTION))
+    return (starts, ends, i[ok], np.stack((c1[ok], c2[ok], e[ok])),
+            np.stack((lt[ok], lp[ok], lv[ok])), np.stack((fp[ok], fv[ok])),
+            np.stack((dot_p[ok], dot_v[ok])))
 
-    n = len(offsets) - 1
-    try:
-        return [load(0, n)], []
-    except ValueError:
-        pass
-    parts, rejected = [], []
-    for lo in range(0, n, _RETRY_LINES):
-        hi = min(lo + _RETRY_LINES, n)
-        try:
-            parts.append(load(lo, hi))
-        except ValueError:
-            rejected.extend(range(lo, hi))
-    return parts, rejected
+
+def _field_digits(a, fend, flen):
+    """The digits of each field as one integer, a dot read as a 0.
+
+    A field is the right-aligned 24-byte window ending at it: three
+    words whose bytes before the field are masked off, each turned into
+    its 8-digit value by SWAR arithmetic (eight digits per uint64 in
+    three multiply-shift-mask steps). Returns the values and those of
+    the first words; a value is valid (below 10**19) when its first
+    word is below 1000.
+    """
+    buf = np.zeros(len(a) + _WINDOW, dtype=np.uint8)
+    # ",", "." and "\n" all become "0"
+    np.maximum(a, ord("0"), out=buf[_WINDOW:])
+    windows = np.ndarray((len(a) + 1,), dtype=f"V{_WINDOW}", buffer=buf,
+                         strides=(1,))
+    x = windows[fend].view("<u8").reshape(*fend.shape, 3)
+    x &= np.take(_WINDOW_MASKS, _WINDOW - flen, axis=0)
+    x *= np.uint64(10 * 256 + 1)
+    x >>= np.uint64(8)
+    x &= np.uint64(0x00FF00FF00FF00FF)
+    x *= np.uint64(100 * 65536 + 1)
+    x >>= np.uint64(16)
+    x &= np.uint64(0x0000FFFF0000FFFF)
+    x *= np.uint64(10_000 * 2**32 + 1)
+    x >>= np.uint64(32)
+    top = x[..., 0]
+    value = (top * np.uint64(10**16) + x[..., 1] * np.uint64(10**8)
+             + x[..., 2])
+    return value, top
+
+
+def _round_exact(m, f):
+    """m / 10**f correctly rounded, and where that was proven (m < 10**18).
+
+    m < 2**53 and 10**f (f <= 22) are exact doubles, so one division
+    rounds correctly (Clinger), as does converting m when f = 0. Else
+    q = fl(fl(m) / 10**f) is within 1.5 ulp of x = m / 10**f. The
+    remainder m - q 10**f, formed exactly from fl(m), an exact int64
+    rest and Dekker's TwoProduct, then rounded once, gives x - q in ulps
+    to far better than 2**-40; q moves by the nearest whole number. Not
+    proven: a distance within 2**-40 of a half (an exact tie, or too
+    close to call), or a power of two as q or result.
+    """
+    fm = m.astype(np.float64)
+    out = fm / _POW10F[f]
+    exact = m < np.uint64(10**18)
+    big = np.flatnonzero(exact & (m >= np.uint64(2**53)) & (f > 0))
+    q, fb, hi = out[big], f[big], fm[big]
+    lo = (m[big].astype(np.int64) - hi.astype(np.int64)).astype(np.float64)
+    prod = q * _POW10F[fb]
+    qh, ql = _split(q)
+    ph, pl = _P10_HI[fb], _P10_LO[fb]
+    err = ((qh * ph - prod) + qh * pl + ql * ph) + ql * pl
+    ulp = np.spacing(q)
+    # hi - prod is exact (Sterbenz) and small, so is adding lo
+    off = ((hi - prod) + lo - err) / (ulp * _POW10F[fb])
+    step = np.rint(off)
+    out[big] = q + step * ulp
+    mantissa = (1 << 52) - 1
+    exact[big] = ((np.abs(off - step) < 0.5 - 2.0**-40)
+                  & (q.view(np.int64) & mantissa != 0)
+                  & (out[big].view(np.int64) & mantissa != 0))
+    return out, exact
 
 
 def _parse_chunk(chunk, codec, strict, line_no):
@@ -183,45 +252,28 @@ def _parse_chunk(chunk, codec, strict, line_no):
     the number of lines.
     """
     a = np.frombuffer(chunk, dtype=np.uint8)
-    ends = np.flatnonzero(a == _NEWLINE)
-    starts = np.concatenate(([0], ends[:-1] + 1))
+    starts, ends, lines, fend, flen, frac, dot = _fast_fields(a)
+    value, top = _field_digits(a, fend, flen)
+    # drop the dot's 0 digit, at 10**frac; no dot, no change
+    high, low = np.divmod(value[1:], _POW10[frac + dot])
+    m = high * _POW10[frac] + low
+    p_v, exact = (x.reshape(2, -1)
+                  for x in _round_exact(m.ravel(), frac.ravel()))
+    fast = (exact & (top[1:] < 1000)).all(axis=0)
+    idx = lines[fast]
+
     n = len(ends)
-    fast = _fast_lines(a, starts, ends)
-    slow = np.flatnonzero(~fast)
-
-    rec = np.empty(0, dtype=_RECORD)
-    if len(slow) < n:
-        view = memoryview(chunk)
-        pieces, prev = [], 0
-        for i in slow.tolist():
-            pieces.append(view[prev:starts[i]])
-            prev = ends[i] + 1
-        pieces.append(view[prev:])
-        idx = np.flatnonzero(fast)
-        offsets = np.concatenate(([0], np.cumsum(ends[idx] - starts[idx] + 1)))
-        parts, rejected = _load_records(b"".join(pieces), offsets)
-        rec = np.concatenate([rec, *parts])
-        if rejected:
-            # e.g. "10,1e,1": its block of lines goes per line
-            fast[idx[rejected]] = False
-            slow = np.flatnonzero(~fast)
-
-    t = np.empty(n, dtype=np.int64)
-    p = np.empty(n, dtype=np.float64)
-    v = np.empty(n, dtype=np.float64)
-    idx = np.flatnonzero(fast)
-    t[idx], p[idx], v[idx] = rec["t"], rec["p"], rec["v"]
-    bad_value = (~(np.isfinite(rec["p"]) & np.isfinite(rec["v"]))
-                 | (rec["v"] < 0))
-    bad = bad_value | (rec["p"] <= 0)
+    t, p, v = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
+    t[idx], p[idx], v[idx] = value[0, fast], p_v[0, fast], p_v[1, fast]
     keep = np.zeros(n, dtype=bool)
-    keep[idx] = ~bad
+    keep[idx] = True
+    slow = np.flatnonzero(~keep)
+    # a fast line has no sign, exponent or nan: only a zero price is bad
+    bad = p[idx] == 0
+    keep[idx[bad]] = False
 
     # strict mode raises for the first bad line, fast path or not
-    first_bad = n
-    if strict and bad.any():
-        k = int(np.argmax(bad))
-        first_bad = int(idx[k])
+    first_bad = int(idx[np.argmax(bad)]) if strict and bad.any() else n
     for i in slow.tolist():
         if i > first_bad:
             break
@@ -234,9 +286,6 @@ def _parse_chunk(chunk, codec, strict, line_no):
             continue
         keep[i] = True
     if first_bad < n:
-        if bad_value[k]:
-            raise MalformedLine(line_no + first_bad,
-                                "non-finite value or negative volume")
         raise NonPositivePrice(line_no + first_bad)
     return (t[keep], p[keep], v[keep]), n
 
@@ -342,7 +391,12 @@ def deduplicate(ticks):
 
 
 def read_tick_file(path, strictness=LENIENT):
-    """Parse a tick CSV file; transparently decompresses `*.gz`."""
+    """Parse a tick CSV file, decompressing `*.gz`; UnreadableInput when
+    it cannot be opened, read or decompressed."""
     opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rb") as fh:
-        return parse_tick_csv(fh, strictness=strictness, source_label=str(path))
+    try:
+        with opener(path, "rb") as fh:
+            return parse_tick_csv(fh, strictness=strictness,
+                                  source_label=str(path))
+    except (OSError, EOFError, zlib.error) as exc:
+        raise UnreadableInput(f"cannot read {path}: {exc}") from exc

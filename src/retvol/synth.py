@@ -9,7 +9,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from . import rng
-from .errors import NonStationarySpec
+from .errors import ConfigInvalid, NonStationarySpec
 from .fitting import FitPoints
 from .ingest import TickSeries
 from .returns import ReturnSeries
@@ -58,7 +58,7 @@ class GarchSpec:
 def gen_iid_gaussian(n, seed, delta_t=120):
     """Standard normal return series; the null model with no asymmetry."""
     if n < 100:
-        raise ValueError("need n >= 100")
+        raise ConfigInvalid(f"need n >= 100 iid returns, got {n}")
     values = rng.standard_normals(seed, n)
     return ReturnSeries(values, delta_t, np.zeros(n, dtype=bool))
 

@@ -92,3 +92,42 @@ def test_synth_nonstationary_spec_fails_cleanly(tmp_path, capsys):
                "--out", str(tmp_path / "z.csv")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+UNREADABLE = {
+    "truncated.csv.gz": gzip.compress("".join(
+        f"{t},{t % 97}.5,1\n" for t in range(50_000)).encode(), mtime=0)[:20_000],
+    "plain.csv.gz": b"10,1.0,1\n20,2.0,1\n",
+    "absent.csv": None,
+}
+
+
+@pytest.mark.parametrize("name", UNREADABLE)
+def test_unreadable_input_is_reported_not_raised(tmp_path, capsys, name):
+    path = tmp_path / name
+    if UNREADABLE[name] is not None:
+        path.write_bytes(UNREADABLE[name])
+    rc = main(["analyze", "--input", str(path), "--out-dir",
+               str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--delta-t=0", "--n=0", "--n=-5"])
+def test_bad_synth_flag_is_a_usage_error(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", flag, "--out", str(tmp_path / "z.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"argument {flag.split('=')[0]}" in err
+    assert not (tmp_path / "z.csv").exists()
+
+
+def test_synth_too_few_iid_returns_fails_cleanly(tmp_path, capsys):
+    rc = main(["synth", "--kind", "iid", "--n", "50",
+               "--out", str(tmp_path / "z.csv")])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "z.csv").exists()

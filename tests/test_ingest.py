@@ -156,3 +156,32 @@ def test_serialize_matches_per_row_formatting(monkeypatch, block):
                    f"{float(ticks.volumes[i])!r}\n" for i in range(len(ticks)))
     assert buf.getvalue() == want
     assert "1e-05" in want and "1e+16" in want and "5e-324" in want
+
+
+def _gzip_csv(n=20_000):
+    text = "".join(f"{1_420_000_000 + i},{100 + i * 1e-3!r},{0.5 + i % 7}\n"
+                   for i in range(n))
+    return gzip.compress(text.encode("ascii"), mtime=0)
+
+
+def _corrupt_middle(data):
+    mid = len(data) // 2
+    return data[:mid] + b"\xff" * 64 + data[mid + 64:]
+
+
+UNREADABLE = {
+    "truncated.csv.gz": lambda: _gzip_csv()[:20_000],
+    "plain.csv.gz": lambda: b"10,1.0,1\n20,2.0,1\n",
+    "corrupt.csv.gz": lambda: _corrupt_middle(_gzip_csv()),
+    "absent.csv": None,
+}
+
+
+@pytest.mark.parametrize("name", UNREADABLE)
+def test_unreadable_file_is_a_typed_error(tmp_path, name):
+    path = tmp_path / name
+    if UNREADABLE[name] is not None:
+        path.write_bytes(UNREADABLE[name]())
+    with pytest.raises(errors.UnreadableInput) as exc:
+        read_tick_file(path)
+    assert str(path) in str(exc.value)

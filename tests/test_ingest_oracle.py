@@ -115,6 +115,7 @@ def test_lines_straddling_chunk_boundaries(monkeypatch, chunk):
 
 
 def test_loadtxt_rejected_line_matches_oracle(monkeypatch):
+    # a declined line among fast ones, with lines straddling 32-byte reads
     monkeypatch.setattr(ingest, "CHUNK_BYTES", 32)
     good = "".join(f"{t},1.5,0.25\n" for t in range(40))
     assert_matches_oracle((good + "7,1e,1\n" + good).encode("ascii"))
@@ -132,9 +133,14 @@ def count_per_line_calls(monkeypatch):
     return calls
 
 
+def no_loadtxt(*args, **kwargs):
+    raise AssertionError("np.loadtxt called")
+
+
 @pytest.mark.parametrize("chunk", [ingest.CHUNK_BYTES, 4096])
 def test_fast_path_takes_every_well_formed_line(tmp_path, monkeypatch, chunk):
     monkeypatch.setattr(ingest, "CHUNK_BYTES", chunk)
+    monkeypatch.setattr(np, "loadtxt", no_loadtxt)
     calls = count_per_line_calls(monkeypatch)
     rng = np.random.default_rng(7)
     n = 10_000
@@ -148,12 +154,13 @@ def test_fast_path_takes_every_well_formed_line(tmp_path, monkeypatch, chunk):
     assert read_tick_file(clean, strictness="strict") == ticks
     assert calls == []
 
-    # lines the classifier turns away take the per-line path; negative
-    # or zero prices, negative volumes and overflow are caught vectorized
+    # lines the reader declines take the per-line path, signs and
+    # exponents among them; a zero price is caught vectorized
     slow_bad = ["abc", "10,1.0", "", "10,nan,1", " 10,1,x", "10,1,1,1",
                 "x,1,1", "10,,1", "10,1,", ",1,1", "1e5,1,1", "+1.5,1,1",
-                "99999999999999999999,1,1"]
-    fast_bad = ["10,-1.0,1", "10,0,1", "10,1.0,-2", "10,1e999,1"]
+                "99999999999999999999,1,1", "10,-1.0,1", "10,1.0,-2",
+                "10,1e999,1"]
+    fast_bad = ["10,0,1", "10,0.0,1", "10,.0,1"]
     where = np.sort(rng.choice(n, len(slow_bad) + len(fast_bad),
                                replace=False))
     for pos, bad in zip(where[::-1], (slow_bad + fast_bad)[::-1]):
@@ -217,33 +224,105 @@ def test_dedup_unsorted_input_matches_oracle():
     dedup_matches_oracle(ticks)
 
 
-@pytest.mark.parametrize("strictness", ["lenient", "strict"])
-def test_loadtxt_rejects_go_per_line_with_their_block_only(monkeypatch,
-                                                           strictness):
-    # "10,1e,1" passes the classifier but not np.loadtxt: only its block
-    # of _RETRY_LINES lines, not the rest of its chunk, goes per line
-    monkeypatch.setattr(ingest, "CHUNK_BYTES", 1 << 15)
-    n = 10_000
-    lines = [f"{1_420_000_000 + t},{1.5 + t % 7},0.25" for t in range(n)]
-    for pos in (1_000, 7_000):
-        lines[pos] = "10,1e,1"
-    data = ("\n".join(lines) + "\n").encode("ascii")
-    assert len(data) > 4 * ingest.CHUNK_BYTES
-    want = outcome(oracle_parse_tick_csv, lambda: io.BytesIO(data), strictness)
-    calls = count_per_line_calls(monkeypatch)
-    assert outcome(library, lambda: io.BytesIO(data), strictness) == want
-    bad = [1_001, 7_001] if strictness == "lenient" else [1_001]
-    assert set(bad) <= set(calls)
-    assert len(calls) <= len(bad) * ingest._RETRY_LINES
-    assert all(min(abs(c - b) for b in bad) < ingest._RETRY_LINES
-               for c in calls)
-    if strictness == "strict":
-        assert calls[-1] == 1_001
-
-
 def test_dense_loadtxt_rejects_match_oracle(monkeypatch):
-    # every block of a chunk is rejected
+    # every 50th line is declined by the fast reader, in every chunk
     monkeypatch.setattr(ingest, "CHUNK_BYTES", 1 << 12)
     lines = [f"{t},{1.5 + t % 7},0.25" if t % 50 else "10,1e,1"
              for t in range(3_000)]
     assert_matches_oracle(("\n".join(lines) + "\n").encode("ascii"))
+
+
+# Exactness of the vectorized decimal reader: every value must have the
+# bytes float() gives it, whether the reader or the per-line path read it.
+
+def decimal(m, f, lead=0):
+    """Positional decimal m / 10**f with `lead` extra leading zeros."""
+    digits = "0" * lead + str(m).rjust(f, "0")
+    return f"{digits[:len(digits) - f]}.{digits[len(digits) - f:]}" if f \
+        else digits
+
+
+def assert_fields_match_oracle(prices, volumes, monkeypatch, max_slow):
+    """Parse the values as one file and compare with the oracle; at most
+    `max_slow` lines may take the per-line path."""
+    lines = [f"{1_420_000_000 + i},{p},{v}\n"
+             for i, (p, v) in enumerate(zip(prices, volumes))]
+    calls = count_per_line_calls(monkeypatch)
+    assert_matches_oracle("".join(lines).encode("ascii"))
+    assert len(calls) <= 2 * max_slow    # once per strictness
+
+
+def test_random_decimals_match_oracle(monkeypatch):
+    rng = np.random.default_rng(11)
+    fields = []
+    for _ in range(2 * 60_000):
+        sig = int(rng.integers(1, 19))
+        m = int(rng.integers(10 ** (sig - 1), 10 ** sig))
+        f = int(rng.integers(0, 23))
+        lead = min(int(rng.integers(0, 4)), 23 - max(sig, f))
+        s = decimal(m, f, lead)
+        if f == 0 and rng.random() < 0.5:
+            s += "."
+        fields.append(s)
+    # all within the fast limits: at most 18 digits, 22 decimals, 24 bytes
+    assert max(map(len, fields)) <= 24
+    # exact ties such as 33549414260098418.0 go per line
+    assert_fields_match_oracle(fields[::2], fields[1::2], monkeypatch,
+                               max_slow=120)
+
+
+def test_near_halfway_decimals_match_oracle(monkeypatch):
+    from decimal import Decimal, localcontext
+    rng = np.random.default_rng(12)
+    fields = []
+    with localcontext() as ctx:
+        ctx.prec = 80
+        for x in 10.0 ** rng.uniform(-4, 15, 17_000):
+            mid = (Decimal(x) + Decimal(np.nextafter(x, np.inf))) / 2
+            for digits in (17, 18):
+                unit = Decimal(1).scaleb(mid.adjusted() - digits + 1)
+                r = mid.quantize(unit)
+                fields += [format(r + k * unit, "f") for k in (-1, 0, 1)]
+    assert len(fields) >= 100_000
+    half = len(fields) // 2
+    assert_fields_match_oracle(fields[:half], fields[half:2 * half],
+                               monkeypatch, max_slow=100)
+
+
+def test_ties_and_powers_of_two_match_oracle(monkeypatch):
+    from decimal import Decimal
+    rng = np.random.default_rng(13)
+    # exact ties: midpoints of adjacent doubles from 2**51 to 2**57
+    ties = ["9007199254740993", "18014398509481986.0", "0018014398509481986.0"]
+    for x in rng.uniform(2.0**51, 2.0**57, 3_000):
+        mid = (Decimal(x) + Decimal(np.nextafter(x, np.inf))) / 2
+        s = format(mid, "f")
+        ties.append(s if "." in s or mid > 10**17 else s + ".0")
+    # powers of two times 10**-f and integers near them
+    near = []
+    for f in range(0, 23):
+        for e in range(-f, 64):
+            m0 = 2 ** (e + f) * 5 ** f
+            if 2**52 <= m0 < 10**18:
+                span = max(m0 >> 50, 1)
+                near += [decimal(m0 + d, f) for d in range(-20, 21)]
+                near += [decimal(m0 + int(d), f)
+                         for d in rng.integers(-span, span + 1, 20)]
+    fields = ties + near
+    assert_fields_match_oracle(fields, fields[::-1], monkeypatch,
+                               max_slow=len(fields))
+
+
+@pytest.mark.parametrize("price", ["0", "0.0", ".0", "0000.000", "0."])
+def test_zero_price_matches_oracle(monkeypatch, price):
+    calls = count_per_line_calls(monkeypatch)
+    assert_matches_oracle(f"10,1.5,1\n20,{price},1\n30,2.5,0\n".encode())
+    assert calls == []
+
+
+def test_long_timestamps_match_oracle():
+    stamps = ["999999999999999999", "000000000000000001",
+              "123456789012345678", "9223372036854775807",
+              "9223372036854775808", "1000000000000000000",
+              "0999999999999999999"]
+    assert_matches_oracle("".join(f"{t},1.5,1\n" for t in stamps).encode())
