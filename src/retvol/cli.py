@@ -4,7 +4,7 @@ import argparse
 import sys
 
 from .crosscorr import power_grid
-from .errors import RetvolError
+from .errors import ConfigInvalid, RetvolError
 from .ingest import serialize_tick_csv
 from .pipeline import AnalysisConfig, run_analysis
 from .sampling import CARRY_FORWARD, DROP_INTERVAL
@@ -76,6 +76,7 @@ def build_parser():
                          "peak memory grows with it (one power's lag "
                          "windows per thread)")
     an.add_argument("--out-dir", required=True)
+    an.set_defaults(usage_error=an.error)
 
     sy = sub.add_parser("synth", help="emit a synthetic tick CSV")
     sy.add_argument("--kind", choices=["iid", "garch"], default="garch")
@@ -96,16 +97,19 @@ def build_parser():
 
 
 def cmd_analyze(args):
-    cfg = AnalysisConfig(
-        delta_t=args.delta_t,
-        gap_policy=args.gap_policy,
-        d_grid=args.d_grid,
-        lag_min=args.lags[0], lag_max=args.lags[1],
-        fit_lo=args.fit_range[0], fit_hi=args.fit_range[1],
-        jk_blocks=args.jk_blocks,
-        fit_filter=args.fit_filter,
-        workers=args.workers,
-    )
+    try:
+        cfg = AnalysisConfig(
+            delta_t=args.delta_t,
+            gap_policy=args.gap_policy,
+            d_grid=args.d_grid,
+            lag_min=args.lags[0], lag_max=args.lags[1],
+            fit_lo=args.fit_range[0], fit_hi=args.fit_range[1],
+            jk_blocks=args.jk_blocks,
+            fit_filter=args.fit_filter,
+            workers=args.workers,
+        )
+    except ConfigInvalid as exc:  # before the input is read
+        args.usage_error(str(exc))
     manifest = run_analysis(args.input, cfg, args.out_dir)
     print(f"wrote {len(manifest['files'])} files to {manifest['out_dir']}")
     if manifest["argmax_kappa_d"] is not None:

@@ -1,24 +1,26 @@
 """Tick-data ingestion: headerless `unixtime,price,amount` CSV streams.
 
 The parser reads the stream in chunks of CHUNK_BYTES and never holds
-the whole text. A vectorized reader parses a chunk's plain decimal
-lines: their non-digit bytes are `,,`, `,.,`, `,,.` or `,.,.` before
-the newline, the timestamp has 1 to 18 digits, and the price and
-volume have at most 24 bytes, 22 fraction digits and 18 significant
-digits. That covers every positional `repr` of a double from 1e-4 to
-1e16 and fixed-decimal exchange fields. Each value is the double
-`float()` gives (`_round_exact` holds the argument); a rounding it
-cannot prove, such as an exact tie, is declined. A fast line's only
+the whole text. One thread reads (and gunzips) up to two chunks ahead
+while the caller parses them in chunk order, so records, line numbers
+and errors are those of a serial read. A vectorized reader parses a
+chunk's plain decimal lines: their non-digit bytes are `,,`, `,.,`,
+`,,.` or `,.,.` before the newline, the timestamp has 1 to 18 digits,
+and the price and volume have at most 24 bytes, 22 fraction digits and
+18 significant digits. That covers every positional `repr` of a double
+from 1e-4 to 1e16 and fixed-decimal exchange fields. Each value is the
+double `float()` gives (`_round_exact` holds the argument); a rounding
+it cannot prove, such as an exact tie, is declined. A fast line's only
 possible fault is a zero price, checked vectorized. Every other line
 (a sign, an exponent such as `1e-05`, `nan`, spaces, more digits, a
-`\r` in a text stream, a non-ASCII byte, the wrong field count) goes
-through `_parse_line`, which states the rules: either path gives a
-line the same record, skip or strict-mode error.
+lone `\r` in a text stream, a non-ASCII byte, the wrong field count)
+goes through `_parse_line`, which states the rules: either path gives
+a line the same record, skip or strict-mode error.
 
 Files and byte streams are read as ASCII (a non-ASCII byte becomes
-U+FFFD) with universal newlines; text streams are split on "\n" only.
-Records come out as numpy arrays sorted by timestamp (stable, so trades
-that share a timestamp keep file order).
+U+FFFD) with universal newlines; text streams end lines at "\n" and
+"\r\n" only. Records come out as numpy arrays sorted by timestamp
+(stable, so trades that share a timestamp keep file order).
 
 Duplicates can only share a timestamp, so `deduplicate` compares only
 the rows in runs of equal timestamps of a sorted series.
@@ -27,6 +29,9 @@ the rows in runs of equal timestamps of a sorted series.
 import gzip
 import math
 import zlib
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,8 +114,8 @@ def _parse_line(line, line_no):
 def _line_chunks(stream, text):
     """Yield the stream as bytes in pieces of whole lines, each ended by \\n.
 
-    Text streams are encoded as UTF-8 and keep their "\\r"; in byte
-    streams "\\r\\n" and a lone "\\r" also end a line.
+    "\\r\\n" ends a line; text streams are encoded as UTF-8 and keep a
+    lone "\\r", which in byte streams also ends a line.
     """
     tail = b""
     while True:
@@ -119,12 +124,13 @@ def _line_chunks(stream, text):
             block = block.encode("utf-8", "surrogatepass")
         data = tail + block
         held = b""
-        if not text:
-            if block and data.endswith(b"\r"):
-                # may be the first half of a \r\n that the next read completes
-                data, held = data[:-1], b"\r"
-            if b"\r" in data:
-                data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if not text and block and data.endswith(b"\r"):
+            # may be the first half of a \r\n that the next read completes
+            data, held = data[:-1], b"\r"
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n")
+            if not text:
+                data = data.replace(b"\r", b"\n")
         if not block:
             if data:
                 yield data if data.endswith(b"\n") else data + b"\n"
@@ -133,6 +139,24 @@ def _line_chunks(stream, text):
         if cut:
             yield data[:cut]
         tail = data[cut:] + held
+
+
+def _read_ahead(chunks, depth=2):
+    """Yield the items of `chunks` (never None), read on one thread up to
+    `depth` ahead.
+
+    A reader exception is raised here as the same object. Every exit,
+    closing early included, cancels the queued reads, waits for the one
+    running and joins the thread.
+    """
+    reader = ThreadPoolExecutor(1)
+    try:
+        ahead = deque(reader.submit(next, chunks, None) for _ in range(depth))
+        while (item := ahead.popleft().result()) is not None:
+            ahead.append(reader.submit(next, chunks, None))
+            yield item
+    finally:
+        reader.shutdown(cancel_futures=True)
 
 
 def _split(x):
@@ -297,7 +321,7 @@ def parse_tick_csv(stream, strictness=STRICT, source_label=""):
     ----------
     stream : file-like
         Byte or text stream of headerless CSV lines. Byte streams end
-        lines at LF, CRLF or CR; text streams at LF.
+        lines at LF, CRLF or CR; text streams at LF or CRLF.
     strictness : {"strict", "lenient"}
         Strict raises on the first bad line; lenient counts and skips.
     source_label : str
@@ -325,10 +349,12 @@ def parse_tick_csv(stream, strictness=STRICT, source_label=""):
     codec = ("utf-8", "surrogatepass") if text else ("ascii", "replace")
 
     cols, n_lines = [], 0
-    for chunk in _line_chunks(stream, text):
-        records, n = _parse_chunk(chunk, codec, strict, n_lines + 1)
-        cols.append(records)
-        n_lines += n
+    # closed before returning or raising, so no reader outlives the call
+    with closing(_read_ahead(_line_chunks(stream, text))) as chunks:
+        for chunk in chunks:
+            records, n = _parse_chunk(chunk, codec, strict, n_lines + 1)
+            cols.append(records)
+            n_lines += n
     if not any(len(c[0]) for c in cols):
         raise EmptyInput("no valid tick records in input")
 

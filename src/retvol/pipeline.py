@@ -28,7 +28,8 @@ _FIT_FAILURES = (InsufficientPoints, NonPositiveData, NonPositiveSigma,
 @dataclass
 class AnalysisConfig:
     """Analysis grid and settings; `workers` threads the CC and jackknife
-    pass over powers and never changes a result."""
+    pass over powers and never changes a result. A bad fit range, worker
+    count or fit filter raises ConfigInvalid here."""
 
     delta_t: int = 120
     gap_policy: str = CARRY_FORWARD
@@ -41,6 +42,15 @@ class AnalysisConfig:
     fit_filter: float | None = None
     workers: int = 1
     extra_metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.fit_lo > self.fit_hi or self.fit_hi < 1:
+            raise ConfigInvalid("fit range needs fit_lo <= fit_hi, fit_hi >= 1")
+        if self.workers < 1:
+            raise ConfigInvalid("workers must be >= 1")
+        s = self.fit_filter
+        if s is not None and not (np.isfinite(s) and s >= 0):
+            raise ConfigInvalid("fit_filter must be finite and >= 0")
 
 
 CONVENTIONS = {

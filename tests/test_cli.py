@@ -86,6 +86,21 @@ def test_bad_flag_is_a_usage_error(tmp_path, capsys, flag):
     assert not (tmp_path / "y").exists()
 
 
+@pytest.mark.parametrize("flag", [
+    "--fit-range=5:1", "--fit-range=-3:0", "--workers=0", "--fit-filter=nan",
+    "--fit-filter=-1"])
+def test_bad_setting_is_a_usage_error_before_the_input_is_read(
+        tmp_path, capsys, flag):
+    # the input does not exist: the config is checked before it is read
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--input", str(tmp_path / "absent.csv"), flag,
+              "--out-dir", str(tmp_path / "y")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "retvol analyze: error:" in err
+    assert not (tmp_path / "y").exists()
+
+
 def test_synth_nonstationary_spec_fails_cleanly(tmp_path, capsys):
     rc = main(["synth", "--kind", "garch", "--n", "1000", "--seed", "1",
                "--a-arch", "0.2", "--b-garch", "0.9",

@@ -2,13 +2,14 @@
 
 import gzip
 import io
+import threading
 
 import numpy as np
 import pytest
 from oracles import oracle_deduplicate, oracle_parse_tick_csv
 
 from retvol import ingest
-from retvol.errors import RetvolError
+from retvol.errors import EmptyInput, RetvolError, UnreadableInput
 from retvol.ingest import (TickSeries, deduplicate, parse_tick_csv,
                            read_tick_file, serialize_tick_csv)
 
@@ -326,3 +327,126 @@ def test_long_timestamps_match_oracle():
               "9223372036854775808", "1000000000000000000",
               "0999999999999999999"]
     assert_matches_oracle("".join(f"{t},1.5,1\n" for t in stamps).encode())
+
+
+def test_crlf_text_stream_takes_fast_path(monkeypatch):
+    # text streams end lines at \r\n too, also where a read splits one
+    text = "".join(f"{1_420_000_000 + t},{1.5 + t % 7},0.25\r\n"
+                   for t in range(2_000))
+    calls = count_per_line_calls(monkeypatch)
+    for chunk in (ingest.CHUNK_BYTES, 4096, 7):
+        monkeypatch.setattr(ingest, "CHUNK_BYTES", chunk)
+        assert_matches_oracle(text)
+    assert calls == []
+
+
+# The read-ahead thread: one reader runs ahead of the parse, which stays
+# on the calling thread in chunk order.
+
+def dirty_lines(n, bad_at):
+    rng = np.random.default_rng(5)
+    lines = [f"{1_420_000_000 + t},{x!r},{t % 9 * 0.125}"
+             for t, x in enumerate(np.exp(rng.normal(5, 1, n)).tolist())]
+    for i, bad in bad_at.items():
+        lines[i] = bad
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def test_read_ahead_gzip_file_matches_oracle(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "CHUNK_BYTES", 4096)
+    bad_at = {3: "x,1,1", 700: "10,1e,1", 701: "10,0,1", 2_999: "10,1"}
+    data = dirty_lines(3_000, bad_at)
+    assert len(data) > 20 * 4096
+    path = tmp_path / "ticks.csv.gz"
+    path.write_bytes(gzip.compress(data, mtime=0))
+    callers = []
+    parse_line = ingest._parse_line
+
+    def on_caller(line, line_no):
+        callers.append((line_no, threading.current_thread()))
+        return parse_line(line, line_no)
+
+    monkeypatch.setattr(ingest, "_parse_line", on_caller)
+    got = read_tick_file(path)
+    t, p, v, skipped = oracle_parse_tick_csv(io.BytesIO(data), "lenient")
+    assert got.timestamps.tobytes() == t.tobytes()
+    assert got.prices.tobytes() == p.tobytes()
+    assert got.volumes.tobytes() == v.tobytes()
+    assert got.n_skipped == skipped == len(bad_at)
+    # the zero price is caught vectorized; the others per line, in order
+    assert callers == [(i + 1, threading.main_thread())
+                       for i in (3, 700, 2_999)]
+
+
+def test_read_ahead_strict_error_is_the_first_bad_chunks(tmp_path,
+                                                        monkeypatch):
+    monkeypatch.setattr(ingest, "CHUNK_BYTES", 4096)
+    data = dirty_lines(3_000, {})
+    line_len = len(data) // 3_000
+    # one bad line in chunk 1 and one in chunk 3 (chunks count from 0)
+    first, later = 4096 * 3 // 2 // line_len, 4096 * 7 // 2 // line_len
+    data = dirty_lines(3_000, {first: "10,-1.0,1", later: "x,1,1"})
+    sizes = [c.count(b"\n")
+             for c in ingest._line_chunks(io.BytesIO(data), False)]
+    chunk_of = np.repeat(np.arange(len(sizes)), sizes)
+    assert (chunk_of[first], chunk_of[later]) == (1, 3)
+    assert_matches_oracle(data)
+    path = tmp_path / "ticks.csv.gz"
+    path.write_bytes(gzip.compress(data, mtime=0))
+    with pytest.raises(ingest.NonPositivePrice) as exc:
+        read_tick_file(path, strictness="strict")
+    assert exc.value.line_no == first + 1
+
+
+def test_read_ahead_truncated_gzip_is_unreadable(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "CHUNK_BYTES", 4096)
+    data = gzip.compress(dirty_lines(20_000, {}), mtime=0)
+    assert len(data) > 200_000
+    path = tmp_path / "truncated.csv.gz"
+    path.write_bytes(data[:100_000])
+    with pytest.raises(UnreadableInput) as exc:
+        read_tick_file(path)
+    assert isinstance(exc.value.__cause__, EOFError)
+
+
+def test_read_ahead_reraises_the_reader_exception():
+    error = OSError("disk gone")
+
+    def chunks():
+        yield b"10,1.0,1\n"
+        raise error
+
+    ahead = ingest._read_ahead(chunks())
+    assert next(ahead) == b"10,1.0,1\n"
+    with pytest.raises(OSError) as exc:
+        next(ahead)
+    assert exc.value is error
+
+
+@pytest.mark.parametrize("data,strictness,error", [
+    (b"10,1.0,1\n" * 5_000, "strict", None),
+    (b"10,1.0,1\n" * 2_000 + b"x\n" + b"10,1.0,1\n" * 2_000, "strict",
+     ingest.MalformedLine),
+    (b"x\n" * 5_000, "lenient", EmptyInput),
+], ids=["clean", "strict_error", "empty"])
+def test_no_reader_thread_outlives_the_parse(monkeypatch, data, strictness,
+                                             error):
+    monkeypatch.setattr(ingest, "CHUNK_BYTES", 64)
+    before = threading.active_count()
+    if error is None:
+        parse_tick_csv(io.BytesIO(data), strictness)
+    else:
+        # `info` keeps the traceback, and with it the parse's frame and
+        # generator, alive: the thread must be joined without their help
+        with pytest.raises(error) as info:
+            parse_tick_csv(io.BytesIO(data), strictness)
+        assert info.tb is not None
+    assert threading.active_count() == before
+
+
+def test_closing_the_read_ahead_early_joins_its_thread():
+    before = threading.active_count()
+    ahead = ingest._read_ahead(iter(range(100)))
+    assert next(ahead) == 0
+    ahead.close()
+    assert threading.active_count() == before

@@ -164,6 +164,20 @@ def test_bad_config_is_a_typed_error(bad):
     assert isinstance(info.value, ValueError)
 
 
+@pytest.mark.parametrize("bad", [
+    {"fit_lo": 5, "fit_hi": 1}, {"fit_lo": -3, "fit_hi": 0},
+    {"workers": 0}, {"workers": -1}, {"fit_filter": float("nan")},
+    {"fit_filter": -1.0}, {"fit_filter": float("inf")}], ids=[
+    "fit_range_reversed", "fit_range_below_1", "zero_workers",
+    "negative_workers", "nan_fit_filter", "negative_fit_filter",
+    "infinite_fit_filter"])
+def test_bad_setting_is_rejected_when_the_config_is_built(bad):
+    # nothing is analyzed: the bad setting fails before any data is seen
+    with pytest.raises(ConfigInvalid) as info:
+        small_cfg(**bad)
+    assert isinstance(info.value, ValueError)
+
+
 def alternating_ticks(n_returns):
     # prices alternate between two levels, so the returns are +c, -c, ...:
     # r is not constant, but every |r|^d is
