@@ -1,9 +1,9 @@
 """Tick-data ingestion: headerless `unixtime,price,amount` CSV streams.
 
 The parser reads the stream in chunks of CHUNK_BYTES and never holds
-the whole text. One thread reads (and gunzips) up to two chunks ahead
-while the caller parses them in chunk order, so records, line numbers
-and errors are those of a serial read. A vectorized reader parses a
+the whole text. One thread reads (and gunzips) the next chunk while
+the caller parses the current one, in chunk order, so records, line
+numbers and errors are those of a serial read. A vectorized reader parses a
 chunk's plain decimal lines: their non-digit bytes are `,,`, `,.,`,
 `,,.` or `,.,.` before the newline, the timestamp has 1 to 18 digits,
 and the price and volume have at most 24 bytes, 22 fraction digits and
@@ -29,7 +29,6 @@ the rows in runs of equal timestamps of a sorted series.
 import gzip
 import math
 import zlib
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
@@ -141,19 +140,19 @@ def _line_chunks(stream, text):
         tail = data[cut:] + held
 
 
-def _read_ahead(chunks, depth=2):
-    """Yield the items of `chunks` (never None), read on one thread up to
-    `depth` ahead.
+def _read_ahead(chunks):
+    """Yield the items of `chunks` (never None), each read on one thread
+    while the caller handles the one before.
 
     A reader exception is raised here as the same object. Every exit,
-    closing early included, cancels the queued reads, waits for the one
-    running and joins the thread.
+    closing early included, cancels the pending read or waits for it to
+    return, and joins the thread.
     """
     reader = ThreadPoolExecutor(1)
     try:
-        ahead = deque(reader.submit(next, chunks, None) for _ in range(depth))
-        while (item := ahead.popleft().result()) is not None:
-            ahead.append(reader.submit(next, chunks, None))
+        pending = reader.submit(next, chunks, None)
+        while (item := pending.result()) is not None:
+            pending = reader.submit(next, chunks, None)
             yield item
     finally:
         reader.shutdown(cancel_futures=True)
@@ -321,7 +320,11 @@ def parse_tick_csv(stream, strictness=STRICT, source_label=""):
     ----------
     stream : file-like
         Byte or text stream of headerless CSV lines. Byte streams end
-        lines at LF, CRLF or CR; text streams at LF or CRLF.
+        lines at LF, CRLF or CR; text streams at LF or CRLF. A thread
+        reads it one chunk (CHUNK_BYTES, to a line end) ahead of the
+        parse: where parsing stops, that much more may have been read,
+        and an error is raised only once the running read returns (on
+        a pipe or socket, after more data or its end).
     strictness : {"strict", "lenient"}
         Strict raises on the first bad line; lenient counts and skips.
     source_label : str

@@ -45,12 +45,14 @@ class AnalysisConfig:
 
     def __post_init__(self):
         if self.fit_lo > self.fit_hi or self.fit_hi < 1:
-            raise ConfigInvalid("fit range needs fit_lo <= fit_hi, fit_hi >= 1")
+            raise ConfigInvalid("fit range (--fit-range LO:HI) needs "
+                                "LO <= HI and HI >= 1")
         if self.workers < 1:
-            raise ConfigInvalid("workers must be >= 1")
+            raise ConfigInvalid("workers (--workers) must be >= 1")
         s = self.fit_filter
         if s is not None and not (np.isfinite(s) and s >= 0):
-            raise ConfigInvalid("fit_filter must be finite and >= 0")
+            raise ConfigInvalid("fit filter (--fit-filter S) needs "
+                                "0 <= S < inf")
 
 
 CONVENTIONS = {

@@ -98,6 +98,7 @@ def test_bad_setting_is_a_usage_error_before_the_input_is_read(
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "retvol analyze: error:" in err
+    assert f"({flag.split('=')[0]}" in err
     assert not (tmp_path / "y").exists()
 
 
