@@ -36,9 +36,9 @@ def _lag_span(lo, hi):
     return lo, hi
 
 
-def _positive_int(text):
-    if not text.isdigit() or int(text) == 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+def _int_at_least(text, least=1):
+    if not text.isdigit() or int(text) < least:
+        raise argparse.ArgumentTypeError(f"need an integer >= {least}, got {text!r}")
     return int(text)
 
 
@@ -52,7 +52,7 @@ def build_parser():
     an = sub.add_parser("analyze", help="run the full analysis on a tick CSV")
     an.add_argument("--input", required=True,
                     help="tick CSV (unixtime,price,amount), .gz accepted")
-    an.add_argument("--delta-t", type=_positive_int, default=120,
+    an.add_argument("--delta-t", type=_int_at_least, default=120,
                     help="sampling interval in seconds (86400 = daily)")
     an.add_argument("--gap-policy", choices=[CARRY_FORWARD, DROP_INTERVAL],
                     default=CARRY_FORWARD)
@@ -66,26 +66,26 @@ def build_parser():
     an.add_argument("--fit-range", type=_span(2, _int_span), default="1:200",
                     metavar="LO:HI",
                     help="positive-lag fit window (default 1:200)")
-    an.add_argument("--jk-blocks", type=int, default=100,
+    an.add_argument("--jk-blocks", type=lambda t: _int_at_least(t, 2), default=100,
                     help="jackknife block count (default 100)")
     an.add_argument("--fit-filter", type=float, default=None, metavar="S",
                     help="also drop |cc| <= S*sigma points from fits")
     an.add_argument("--workers", type=int, default=1,
                     help="threads for the CC and jackknife pass over "
-                         "powers; results are identical for any value, "
-                         "peak memory grows with it (one power's lag "
-                         "windows per thread)")
+                         "powers; results are identical for any value, and "
+                         "each thread adds one power's series-length arrays "
+                         "and lag sums to peak memory")
     an.add_argument("--out-dir", required=True)
     an.set_defaults(usage_error=an.error)
 
     sy = sub.add_parser("synth", help="emit a synthetic tick CSV")
     sy.add_argument("--kind", choices=["iid", "garch"], default="garch")
-    sy.add_argument("--n", type=_positive_int, default=100000,
+    sy.add_argument("--n", type=_int_at_least, default=100000,
                     help="number of returns")
     sy.add_argument("--seed", type=int, default=1)
     sy.add_argument("--scale", type=float, default=0.002,
                     help="return scale applied to the generated series")
-    sy.add_argument("--delta-t", type=_positive_int, default=120,
+    sy.add_argument("--delta-t", type=_int_at_least, default=120,
                     help="tick spacing in seconds")
     sy.add_argument("--p0", type=float, default=100.0, help="starting price")
     sy.add_argument("--omega", type=float, default=0.05)

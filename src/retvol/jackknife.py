@@ -10,21 +10,21 @@ window holds the pairs whose return element lies in one segment of
 whole blocks, so it spans the segment plus max|lag| points beyond
 either edge. Deleting b changes only b's own segment and the windows
 that reach across b into the splice; those few are recomputed over the
-reduced series, and every other window is shared by all deletions. One
-batched rFFT per power gives every window sum. The reduced moments come
-from per-block sums and centred sums of squares, combined as in the
-pairwise update of Chan, Golub & LeVeque (1983). Each theta_b is summed
-one window at a time in reduced-series order, reusing the sequential
-prefix of the windows before b, so identical reduced series give
-bit-identical thetas. Work and memory per power grow as
-N + B * max|lag|, against B * N for recomputing every reduced series.
+reduced series, and every other window is shared by all deletions.
+rFFTs over blocks of window rows give every window sum. The reduced
+moments come from per-block sums and centred sums of squares, combined
+as in the pairwise update of Chan, Golub & LeVeque (1983). Each theta_b
+is summed one window at a time in reduced-series order, reusing the
+sequential prefix of the windows before b, so identical reduced series
+give bit-identical thetas. Work per power and the shared index and x
+spectrum grow as N + B * max|lag|; recomputing reduced series costs B * N.
 
 The same pass yields CC_d(j) itself: the full-series windows, summed in
 series order, are the full-series lag sums, scaled by the global
 moments. Powers are independent, so `workers` threads each take one
 power at a time; results come back in grid order and do not depend on
-the thread count, but peak memory grows with it, one power's windows
-per thread.
+the thread count. Each thread holds its power's N-long arrays and
+window lag sums, and transforms the windows a block of rows at a time.
 """
 
 import math
@@ -37,6 +37,9 @@ from .crosscorr import (CorrelationProfile, SweepResult, _check_lags,
                         _sweep_lags, next_fast_len)
 from .errors import ConfigInvalid, DegenerateVariance
 from .returns import abs_power
+
+# window rows are transformed in blocks of this many bytes of nfft-long rows
+_ROW_BLOCK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -118,13 +121,17 @@ class _Deletions:
         x_lo = seg_lo[rt] - gone * (rt > mine)
         x_hi = seg_hi[rt] - gone * (rt >= mine)
         self.nfft = next_fast_len(int(np.max(x_hi - x_lo)) + left + right)
-        pos = (x_lo - left)[:, None] + np.arange(self.nfft)
-        full = self._full_index(pos, rb[:, None])
-        # index n is the zero appended to every series
-        self.x_idx = np.where((pos >= x_lo[:, None]) & (pos < x_hi[:, None]),
-                              full, n)
-        self.y_idx = np.where((pos >= 0) & (pos < (n - gone)[:, None])
-                              & (pos < (x_hi + right)[:, None]), full, n)
+        step = max(1, _ROW_BLOCK_BYTES // (8 * self.nfft))
+        self.row_blocks = [slice(i, i + step) for i in range(0, len(rt), step)]
+        # window column c is position x_lo - left + c: x fills the columns
+        # [left, x_end), y reaches max|lag| past them (n: the appended 0)
+        self.left, self.x_end = left, (x_hi - x_lo + left)[:, None]
+        y_hi = np.minimum(x_hi + right, n - gone)[:, None]
+        self.y_idx = np.empty((len(rt), self.nfft), np.intp)
+        for rows in self.row_blocks:
+            pos = (x_lo[rows] - left)[:, None] + np.arange(self.nfft)
+            self.y_idx[rows] = np.where((pos >= 0) & (pos < y_hi[rows]),
+                                        self._full_index(pos, rb[rows, None]), n)
 
         edge = np.arange(reach)
         self.head_idx = self._full_index(edge[None, :], blocks[:, None])
@@ -153,13 +160,15 @@ class _Deletions:
                   == np.where(other, lo, np.inf).min(axis=1)):
             raise DegenerateVariance("series is constant")
 
-        v = v - v.mean()
+        shifted = np.zeros(len(v) + 1)
+        v = np.subtract(v, v.mean(), out=shifted[:-1])
         # the global moment of `_centered`, which the CC values use
         sd = math.sqrt(float(np.mean(v * v)))
         s = np.add.reduceat(v, self.starts)
         mu_k = s / self.lens
         dev = v - np.repeat(mu_k, self.lens)
-        m2 = np.add.reduceat(dev * dev, self.starts)
+        dev *= dev
+        m2 = np.add.reduceat(dev, self.starts)
         # cumsum adds the blocks one at a time in series order; the
         # deleted block contributes an exact 0
         total = np.cumsum(np.where(other, s, 0.0), axis=1)[:, -1]
@@ -169,11 +178,10 @@ class _Deletions:
         if sd == 0.0 or np.any(ss == 0.0):
             raise DegenerateVariance("series has zero variance")
 
-        v = np.append(v, 0.0)
         zero = np.zeros((len(self.starts), 1))
-        head = np.hstack((zero, np.cumsum(v[self.head_idx], axis=1)))
-        tail = np.hstack((zero, np.cumsum(v[self.tail_idx], axis=1)))
-        return v, sd, total, mu, np.sqrt(ss / self.m), head, tail
+        head = np.hstack((zero, np.cumsum(shifted[self.head_idx], axis=1)))
+        tail = np.hstack((zero, np.cumsum(shifted[self.tail_idx], axis=1)))
+        return shifted, sd, total, mu, np.sqrt(ss / self.m), head, tail
 
     def in_reduced_order(self, rows):
         """The full-series sum of the window rows (lags,), and per
@@ -206,14 +214,21 @@ def _sweep(r, ds, lags, cfg, workers=1):
     full_pairs = len(x) - cut
 
     x, sdx, tx, mx, sx, xhead, xtail = dl.moments(x)
-    x_spec = np.conj(np.fft.rfft(x[dl.x_idx]))
+    cols = np.arange(dl.nfft)
+    x_spec = np.empty((len(dl.y_idx), dl.nfft // 2 + 1), complex)
+    for rows in dl.row_blocks:
+        x_in = (cols >= dl.left) & (cols < dl.x_end[rows])
+        x_spec[rows] = np.conj(np.fft.rfft(np.where(x_in, x[dl.y_idx[rows]], 0.0)))
     # the pairs at lag j leave out the last (j > 0) or first |j| returns
     sum_x = tx[:, None] - np.where(fwd, xtail[:, cut], xhead[:, cut])
 
     def one(d):
         y, sdy, ty, my, sy, yhead, ytail = dl.moments(abs_power(r, d).values)
-        windows = np.fft.irfft(np.fft.rfft(y[dl.y_idx]) * x_spec,
-                               dl.nfft)[:, dl.lags % dl.nfft]
+        windows = np.empty((len(dl.y_idx), len(dl.lags)))
+        for rows in dl.row_blocks:
+            spec = np.fft.rfft(y[dl.y_idx[rows]])
+            spec *= x_spec[rows]
+            windows[rows] = np.fft.irfft(spec, dl.nfft)[:, dl.lags % dl.nfft]
         sum_y = ty[:, None] - np.where(fwd, yhead[:, cut], ytail[:, cut])
         full, reduced = dl.in_reduced_order(windows)
         cov = (reduced - my[:, None] * sum_x

@@ -74,6 +74,9 @@ def test_bad_grid_argument(tmp_path, capsys):
     "--d-grid=2:1:0.1",    # empty grid
     "--lags=5:10",         # lag range without 0
     "--delta-t=0",
+    "--jk-blocks=1",       # a jackknife needs two blocks
+    "--jk-blocks=0",
+    "--jk-blocks=-3",
 ])
 def test_bad_flag_is_a_usage_error(tmp_path, capsys, flag):
     # the input does not exist: the flag is rejected before it is read
