@@ -32,6 +32,11 @@ class EmptyInput(RetvolError):
     """Parsing produced zero valid records."""
 
 
+class InvalidTicks(RetvolError, ValueError):
+    """A tick series given to the analysis has columns of unequal length,
+    timestamps out of order, or a price that is not finite and > 0."""
+
+
 class InsufficientData(RetvolError):
     """Not enough data to build the requested series."""
 

@@ -1,9 +1,11 @@
 """Tick-data ingestion: headerless `unixtime,price,amount` CSV streams.
 
 The parser reads the stream in chunks of CHUNK_BYTES and never holds
-the whole text. One thread reads (and gunzips) the next chunk while
-the caller parses the current one, in chunk order, so records, line
-numbers and errors are those of a serial read. A vectorized reader parses a
+the whole text. One thread reads (and gunzips) the next chunk and
+hands it to a pool of _SCAN_THREADS threads, which run the numpy half
+of up to that many chunks at once. The caller then parses each chunk's
+remaining lines per line, in chunk order, so records, line numbers and
+errors are those of a serial read. A vectorized reader parses a
 chunk's plain decimal lines: their non-digit bytes are `,,`, `,.,`,
 `,,.` or `,.,.` before the newline, the timestamp has 1 to 18 digits,
 and the price and volume have at most 24 bytes, 22 fraction digits and
@@ -11,11 +13,14 @@ and the price and volume have at most 24 bytes, 22 fraction digits and
 from 1e-4 to 1e16 and fixed-decimal exchange fields. Each value is the
 double `float()` gives (`_round_exact` holds the argument); a rounding
 it cannot prove, such as an exact tie, is declined. A fast line's only
-possible fault is a zero price, checked vectorized. Every other line
-(a sign, an exponent such as `1e-05`, `nan`, spaces, more digits, a
-lone `\r` in a text stream, a non-ASCII byte, the wrong field count)
-goes through `_parse_line`, which states the rules: either path gives
-a line the same record, skip or strict-mode error.
+possible fault is a zero price, checked vectorized. In lenient mode,
+`_rejected` drops, also vectorized, the lines that fail whatever their
+digits: the wrong comma count, a letter other than e/E, a dot in the
+timestamp or a price starting with "-". Every other line (a sign, an
+exponent such as `1e-05`, spaces, more digits, a lone `\r` in a text
+stream, a non-ASCII byte) goes through `_parse_line`, which states the
+rules: each path gives a line the same record, skip or strict-mode
+error.
 
 Files and byte streams are read as ASCII (a non-ASCII byte becomes
 U+FFFD) with universal newlines; text streams end lines at "\n" and
@@ -41,13 +46,15 @@ from .errors import (EmptyInput, MalformedLine, NonPositivePrice, RetvolError,
 STRICT = "strict"
 LENIENT = "lenient"
 
-CHUNK_BYTES = 1 << 22
+CHUNK_BYTES = 1 << 21
+# numpy halves of chunks parsed at once (the caller finishes each in order)
+_SCAN_THREADS = 2
 # rows converted by one `tolist`, which bounds the Python objects held
 _SERIALIZE_ROWS = 1 << 16
 
 _RECORD = np.dtype([("t", np.int64), ("p", np.float64), ("v", np.float64)])
 _INT64 = np.iinfo(np.int64)
-_NEWLINE, _DOT = ord("\n"), ord(".")
+_NEWLINE, _DOT, _COMMA, _MINUS = b"\n.,-"
 # fast fields: a timestamp of at most 18 digits fits an int64; a price
 # or volume is read as one 24-byte window with at most 22 fraction
 # digits, as 10**22 is the largest power of ten exact in a double
@@ -268,11 +275,44 @@ def _round_exact(m, f):
     return out, exact
 
 
-def _parse_chunk(chunk, codec, strict, line_no):
-    """Parse a piece of whole lines whose first line is number `line_no`.
+def _rejected(a, starts, ends):
+    """Which of the lines a[starts:ends] `_parse_line` rejects whatever
+    their digits.
 
-    Returns the (t, p, v) arrays of the valid records in line order and
-    the number of lines.
+    Such a line has not exactly two commas, an ASCII letter other than
+    e/E, a "." before its first comma, or a "-" right after it. `int()`
+    takes no letter and no dot; `float()` takes letters only in an
+    exponent or in inf/infinity/nan, which are not finite; a price that
+    starts with "-" is <= 0 or not finite.
+    """
+    size = ends - starts + 1    # each line through its newline
+    seg = np.cumsum(size) - size
+    c = a[np.arange(size.sum()) + np.repeat(starts - seg, size)]
+    comma, at = c == _COMMA, np.arange(len(c))
+    lower = c | np.uint8(0x20)
+    letter = (lower - np.uint8(ord("a")) < 26) & (lower != ord("e"))
+    # every line ends with its newline, so each reduction finds a byte
+    stop = comma | (c == _NEWLINE)
+    first_comma = np.minimum.reduceat(np.where(stop, at, len(c)), seg)
+    first_mark = np.minimum.reduceat(np.where(stop | (c == _DOT), at, len(c)),
+                                     seg)
+    # a line without a comma is rejected anyway: clip its index
+    after = c[np.minimum(first_comma + 1, len(c) - 1)]
+    return ((np.add.reduceat(comma, seg, dtype=np.intp) != 2)
+            | np.logical_or.reduceat(letter, seg) | (c[first_mark] == _DOT)
+            | (after == _MINUS))
+
+
+def _scan_chunk(chunk, strict):
+    """The numpy half of a chunk's parse, which may run on any thread.
+
+    Reads the fast lines and checks their prices. Returns the chunk's
+    (t, p, v) columns, one row per line, with the fast lines filled in;
+    which of them to keep; the (line, start, end) rows of the lines
+    left for `_parse_line`; and the first fast line with a zero price
+    in strict mode, else the line count. Lenient mode leaves out every
+    line that `_rejected` names; strict mode leaves every line before
+    that zero price to `_parse_line`.
     """
     a = np.frombuffer(chunk, dtype=np.uint8)
     starts, ends, lines, fend, flen, frac, dot = _fast_fields(a)
@@ -295,12 +335,26 @@ def _parse_chunk(chunk, codec, strict, line_no):
     bad = p[idx] == 0
     keep[idx[bad]] = False
 
-    # strict mode raises for the first bad line, fast path or not
     first_bad = int(idx[np.argmax(bad)]) if strict and bad.any() else n
-    for i in slow.tolist():
-        if i > first_bad:
-            break
-        line = chunk[starts[i]:ends[i]].decode(*codec)
+    if strict:
+        slow = slow[slow < first_bad]
+    elif len(slow):
+        slow = slow[~_rejected(a, starts[slow], ends[slow])]
+    rows = np.stack((slow, starts[slow], ends[slow]))
+    return (t, p, v), keep, rows, first_bad
+
+
+def _finish_chunk(chunk, scan, codec, strict, line_no):
+    """The per-line half of a chunk's parse, on the calling thread.
+
+    `scan` is the chunk's `_scan_chunk` result, and its first line is
+    number `line_no`. Parses the lines left in line order and raises
+    the chunk's first strict-mode error. Returns the (t, p, v) arrays
+    of the valid records in line order and the number of lines.
+    """
+    (t, p, v), keep, slow, first_bad = scan
+    for i, start, end in slow.T.tolist():
+        line = chunk[start:end].decode(*codec)
         try:
             t[i], p[i], v[i] = _parse_line(line, line_no + i)
         except RetvolError:
@@ -308,9 +362,23 @@ def _parse_chunk(chunk, codec, strict, line_no):
                 raise
             continue
         keep[i] = True
-    if first_bad < n:
+    if first_bad < len(keep):
         raise NonPositivePrice(line_no + first_bad)
-    return (t[keep], p[keep], v[keep]), n
+    return (t[keep], p[keep], v[keep]), len(keep)
+
+
+def _scans(chunks, strict, pool):
+    """Yield each chunk with the future of its numpy half on `pool`."""
+    for chunk in chunks:
+        yield chunk, pool.submit(_scan_chunk, chunk, strict)
+
+
+def _column(pieces, order):
+    """Concatenate a column's chunk pieces, freeing them, and gather it
+    by `order` unless that is None."""
+    col = np.concatenate(pieces)
+    pieces.clear()
+    return col if order is None else col[order]
 
 
 def parse_tick_csv(stream, strictness=STRICT, source_label=""):
@@ -320,11 +388,15 @@ def parse_tick_csv(stream, strictness=STRICT, source_label=""):
     ----------
     stream : file-like
         Byte or text stream of headerless CSV lines. Byte streams end
-        lines at LF, CRLF or CR; text streams at LF or CRLF. A thread
-        reads it one chunk (CHUNK_BYTES, to a line end) ahead of the
-        parse: where parsing stops, that much more may have been read,
-        and an error is raised only once the running read returns (on
-        a pipe or socket, after more data or its end).
+        lines at LF, CRLF or CR; text streams at LF or CRLF. One thread
+        reads (and gunzips) the stream one chunk (CHUNK_BYTES, to a
+        line end) ahead of the parse and hands each chunk to a pool of
+        _SCAN_THREADS threads, which run the numpy halves of up to that
+        many chunks at once. The caller parses the lines left to the
+        per-line parser chunk by chunk, in order. Where parsing stops,
+        one more chunk may have been read, and an error is raised only
+        once the running read returns (on a pipe or socket, after more
+        data or its end).
     strictness : {"strict", "lenient"}
         Strict raises on the first bad line; lenient counts and skips.
     source_label : str
@@ -351,21 +423,31 @@ def parse_tick_csv(stream, strictness=STRICT, source_label=""):
     text = isinstance(stream.read(0), str)
     codec = ("utf-8", "surrogatepass") if text else ("ascii", "replace")
 
-    cols, n_lines = [], 0
-    # closed before returning or raising, so no reader outlives the call
-    with closing(_read_ahead(_line_chunks(stream, text))) as chunks:
-        for chunk in chunks:
-            records, n = _parse_chunk(chunk, codec, strict, n_lines + 1)
-            cols.append(records)
-            n_lines += n
-    if not any(len(c[0]) for c in cols):
+    cols, n_lines = ([], [], []), 0
+    pool = ThreadPoolExecutor(_SCAN_THREADS)
+    # the reader is joined first, as it submits to the pool; no thread
+    # outlives the call
+    try:
+        with closing(_read_ahead(_scans(_line_chunks(stream, text), strict,
+                                        pool))) as chunks:
+            for chunk, scan in chunks:
+                records, n = _finish_chunk(chunk, scan.result(), codec,
+                                           strict, n_lines + 1)
+                for col, x in zip(cols, records):
+                    col.append(x)
+                n_lines += n
+    finally:
+        pool.shutdown(cancel_futures=True)
+    n_valid = sum(map(len, cols[0]))
+    if not n_valid:
         raise EmptyInput("no valid tick records in input")
 
-    t_arr, p_arr, v_arr = (np.concatenate(c) for c in zip(*cols))
-    order = np.argsort(t_arr, kind="stable")
-    return TickSeries(t_arr[order], p_arr[order], v_arr[order],
-                      source_label=source_label,
-                      n_skipped=n_lines - len(t_arr))
+    # one column at a time: no sort and no gather when already in order
+    t = _column(cols[0], None)
+    order = None if np.all(t[1:] >= t[:-1]) else np.argsort(t, kind="stable")
+    t = t if order is None else t[order]
+    return TickSeries(t, _column(cols[1], order), _column(cols[2], order),
+                      source_label=source_label, n_skipped=n_lines - n_valid)
 
 
 def serialize_tick_csv(ticks, stream):

@@ -7,9 +7,9 @@ import numpy as np
 
 from . import __version__
 from .crosscorr import power_grid, sweep_powers
-from .errors import (ConfigInvalid, InsufficientPoints, LagOutOfRange,
-                     NoConvergence, NonPositiveData, NonPositiveSigma,
-                     RetvolError)
+from .errors import (ConfigInvalid, InsufficientPoints, InvalidTicks,
+                     LagOutOfRange, NoConvergence, NonPositiveData,
+                     NonPositiveSigma, RetvolError)
 from .fitting import (FitPoints, compare_models, fit_exponential,
                       fit_points_from_profile, fit_power_law,
                       fit_quadratic_gamma, long_range_flag)
@@ -70,8 +70,31 @@ CONVENTIONS = {
 }
 
 
+def _check_ticks(ticks):
+    """InvalidTicks unless the columns have equal lengths, the timestamps
+    never decrease and every price is finite and > 0. A parsed file
+    always passes; a series built by hand may not."""
+    t, p = ticks.timestamps, ticks.prices
+    if not len(t) == len(p) == len(ticks.volumes):
+        raise InvalidTicks(f"tick columns differ in length: {len(t)} "
+                           f"timestamps, {len(p)} prices, "
+                           f"{len(ticks.volumes)} volumes")
+    down = np.flatnonzero(t[1:] < t[:-1])
+    if len(down):
+        raise InvalidTicks(f"timestamps must not decrease: row {down[0] + 1} "
+                           f"is earlier than row {down[0]}")
+    bad = np.flatnonzero(~(np.isfinite(p) & (p > 0)))
+    if len(bad):
+        raise InvalidTicks(f"prices must be finite and > 0: row {bad[0]} "
+                           f"is {float(p[bad[0]])!r}")
+
+
 def analyze_ticks(ticks, cfg=AnalysisConfig()):
-    """Run the full analysis on a tick series; returns an AnalysisReport."""
+    """Run the full analysis on a tick series; returns an AnalysisReport.
+
+    Raises InvalidTicks for a series that is not sorted by timestamp or
+    holds a price that is not finite and > 0."""
+    _check_ticks(ticks)
     ticks = deduplicate(ticks)
     prices = resample(ticks, cfg.delta_t, cfg.gap_policy)
     rets = apply_gap_policy(log_returns(prices))

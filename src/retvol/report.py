@@ -5,8 +5,10 @@ with shortest round-trip formatting so re-importing reproduces every
 value bit-exactly. The human summary table uses 10 significant digits
 plus parenthesized-error notation like 0.0184(13). Nothing in the data
 body depends on the wall clock: byte-identical inputs and configuration
-give byte-identical files, and report.json carries a hash of its own
-body with the generation timestamp kept outside the hashed content.
+give byte-identical files. report.json's body holds the sha256 of
+every other file written, and report.json carries a hash of that body,
+so the hash covers every byte but the generation timestamp, which is
+kept outside the body.
 """
 
 import hashlib
@@ -239,7 +241,9 @@ def write_report(report, out_dir):
 
     Files: one profile CSV per d, gamma_kappa.csv, fits.json,
     summary.txt, report.json. Only report.json's `generated_at` field
-    is non-deterministic; the body hash covers everything else.
+    is non-deterministic. The body lists the sha256 of the bytes written
+    to each other file (`file_sha256`), so its hash, `body_sha256`,
+    covers every byte but that field.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -269,11 +273,14 @@ def write_report(report, out_dir):
     summary = "\n".join(_summary_lines(report)) + "\n"
     (out / "summary.txt").write_text(summary)
 
+    files = profile_files + ["gamma_kappa.csv", "fits.json", "summary.txt"]
     body = {
         "metadata": _jsonable(report.metadata),
         "argmax_kappa_d": report.argmax_kappa_d,
         "long_range": _jsonable({f"{d:g}": v for d, v in report.long_range.items()}),
-        "files": profile_files + ["gamma_kappa.csv", "fits.json", "summary.txt"],
+        "files": files,
+        "file_sha256": {name: hashlib.sha256((out / name).read_bytes())
+                        .hexdigest() for name in files},
         "comparisons": {
             f"{d:g}": {"winner": c.winner, "chi2red": [c.chi2red_a, c.chi2red_b]}
             for d, c in sorted(report.comparisons.items())

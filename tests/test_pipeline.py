@@ -3,8 +3,8 @@ import pytest
 
 from oracles import oracle_cc
 from retvol import pipeline
-from retvol.errors import (ConfigInvalid, DegenerateVariance, LagOutOfRange,
-                           NoConvergence)
+from retvol.errors import (ConfigInvalid, DegenerateVariance, InvalidTicks,
+                           LagOutOfRange, NoConvergence)
 from retvol.fitting import fit_exponential, fit_points_from_profile
 from retvol.ingest import TickSeries, deduplicate
 from retvol.pipeline import AnalysisConfig, analyze_ticks
@@ -175,6 +175,33 @@ def test_bad_setting_is_rejected_when_the_config_is_built(bad):
     # nothing is analyzed: the bad setting fails before any data is seen
     with pytest.raises(ConfigInvalid) as info:
         small_cfg(**bad)
+    assert isinstance(info.value, ValueError)
+
+
+def spoil(column, row, value):
+    def apply(ticks):
+        col = getattr(ticks, column).copy()
+        col[row] = value
+        return TickSeries(**{**vars(ticks), column: col})
+    return apply
+
+
+@pytest.mark.parametrize("spoiled,message", [
+    (lambda ts: TickSeries(ts.timestamps[[0, 2, 1, *range(3, len(ts))]],
+                           ts.prices, ts.volumes), "must not decrease"),
+    (spoil("prices", 7, 0.0), "finite and > 0"),
+    (spoil("prices", 7, -1.5), "finite and > 0"),
+    (spoil("prices", 7, np.nan), "finite and > 0"),
+    (spoil("prices", 7, np.inf), "finite and > 0"),
+    (lambda ts: TickSeries(ts.timestamps, ts.prices[:-1], ts.volumes),
+     "differ in length"),
+], ids=["swapped_timestamps", "zero_price", "negative_price", "nan_price",
+        "infinite_price", "unequal_lengths"])
+def test_hand_built_tick_series_is_a_typed_error(spoiled, message):
+    # a parsed file is always sorted with positive prices; a series built
+    # by hand is checked once, before anything is analyzed
+    with pytest.raises(InvalidTicks, match=message) as info:
+        analyze_ticks(spoiled(garch_ticks(n=4000)), small_cfg())
     assert isinstance(info.value, ValueError)
 
 

@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import json
 
 import numpy as np
@@ -120,6 +122,40 @@ def test_write_report_deterministic(tmp_path):
     rb = json.loads((tmp_path / "b" / "report.json").read_text())
     assert ra["body"] == rb["body"]
     assert ra["body_sha256"] == rb["body_sha256"]
+
+
+def _spoil_cc(report):
+    report.sweep.profiles[0].values[3] += 0.1
+
+
+def _spoil_sigma(report):
+    report.sweep.profiles[1].sigmas[2] *= 2.0
+
+
+def _spoil_fit(report):
+    report.power_fits[2.0].params[0] *= 1.5
+
+
+def _spoil_metadata(report):
+    report.metadata["source"] = "elsewhere"
+
+
+@pytest.mark.parametrize("spoil", [_spoil_cc, _spoil_sigma, _spoil_fit,
+                                   _spoil_metadata],
+                         ids=["cc_value", "sigma", "fit_parameter",
+                              "metadata"])
+def test_body_hash_covers_every_file(tmp_path, spoil):
+    report = _tiny_report()
+    base = write_report(report, tmp_path / "a")
+    changed = copy.deepcopy(report)
+    spoil(changed)
+    assert (write_report(changed, tmp_path / "b")["body_sha256"]
+            != base["body_sha256"])
+    body = json.loads((tmp_path / "a" / "report.json").read_text())["body"]
+    assert sorted(body["file_sha256"]) == sorted(base["files"])
+    for name, digest in body["file_sha256"].items():
+        assert hashlib.sha256((tmp_path / "a" / name).read_bytes()
+                              ).hexdigest() == digest, name
 
 
 def test_report_files_and_summary(tmp_path):
