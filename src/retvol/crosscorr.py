@@ -201,7 +201,7 @@ def _sweep_lags(n, d_grid, lag_min, lag_max):
     d_grid = [float(d) for d in d_grid]
     if not d_grid:
         raise ConfigInvalid("empty d grid")
-    if any(d <= 0 for d in d_grid):
+    if not all(d > 0 for d in d_grid):
         raise ConfigInvalid("powers must be positive")
     if any(b <= a for a, b in zip(d_grid, d_grid[1:])):
         raise ConfigInvalid("d grid must be strictly increasing")

@@ -2,29 +2,33 @@
 
 Returns are serially dependent (volatility clustering), so the deleted
 unit is a contiguous block, not a single point (Künsch 1989). Deleting
-block b splices its neighbours together, and theta_b is CC_d(j) of that
-reduced series with its global moments re-estimated from scratch.
+block b = [s_b, e_b) splices its neighbours together, and theta_b is
+CC_d(j) of that reduced series with its global moments re-estimated.
 
-No reduced series is ever built. A lag sum is a sum of window sums: a
-window holds the pairs whose return element lies in one segment of
-whole blocks, so it spans the segment plus max|lag| points beyond
-either edge. Deleting b changes only b's own segment and the windows
-that reach across b into the splice; those few are recomputed over the
-reduced series, and every other window is shared by all deletions.
-rFFTs over blocks of window rows give every window sum. The reduced
+No reduced series is ever built. With R = max|lag|, lag sums are
+taken over these pairs:
+
+    P_b   the pairs inside block b;
+    J(p)  the pairs crossing boundary p: R points either side of it;
+    Sp_b  the pairs across the splice left by deleting b (the R points
+          before s_b against the R after e_b), at reduced lags;
+    X_b   the same pairs at full lags, which straddle all of b: nonzero
+          only if b is shorter than R, read from Sp_b's output.
+
+A pair crossing several boundaries straddles the blocks between them,
+so the full-series lag sums are S = sum P_b + sum J(p) - sum X_b, and
+deleting b leaves S - ((P_b + J(e_b)) + (J(s_b) - Sp_b)) + X_b, where
+J(s_0), J(e_{B-1}) and the end blocks' Sp and X are 0. Work per power
+grows as N + B * R instead of B * N. J(s_b) - Sp_b is exactly 0 when
+the R points after s_b equal those after e_b, so a series of identical
+blocks of at least max|lag| points gives sigma exactly 0. The reduced
 moments come from per-block sums and centred sums of squares, combined
-as in the pairwise update of Chan, Golub & LeVeque (1983). Each theta_b
-is summed one window at a time in reduced-series order, reusing the
-sequential prefix of the windows before b, so identical reduced series
-give bit-identical thetas. Work per power and the shared index and x
-spectrum grow as N + B * max|lag|; recomputing reduced series costs B * N.
+as in the pairwise update of Chan, Golub & LeVeque (1983).
 
-The same pass yields CC_d(j) itself: the full-series windows, summed in
-series order, are the full-series lag sums, scaled by the global
-moments. Powers are independent, so `workers` threads each take one
-power at a time; results come back in grid order and do not depend on
-the thread count. Each thread holds its power's N-long arrays and
-window lag sums, and transforms the windows a block of rows at a time.
+The same pass yields CC_d(j) itself from S and the global moments.
+Powers are independent, so `workers` threads each take one power at a
+time, transforming its rows a block of rows at a time; results come
+back in grid order and do not depend on the thread count.
 """
 
 import math
@@ -38,8 +42,8 @@ from .crosscorr import (CorrelationProfile, SweepResult, _check_lags,
 from .errors import ConfigInvalid, DegenerateVariance
 from .returns import abs_power
 
-# window rows are transformed in blocks of this many bytes of nfft-long rows
-_ROW_BLOCK_BYTES = 512 * 1024
+# rows go through the FFTs in cache-sized blocks of this many bytes
+_ROW_BLOCK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -65,17 +69,11 @@ def block_bounds(n, n_blocks):
 
 
 class _Deletions:
-    """Index layout of every window and reduced series; power-independent.
+    """Index layout of the block and junction rows; power-independent.
 
-    Windows belong to segments of g whole blocks, at least max|lag|
-    long, so a deletion changes at most the windows of its own segment
-    and of the two next to it (g = 1 once blocks reach max|lag|).
-    Window rows 0..S-1 are the segments' windows in the full series.
-    After them come, for each deleted block b in turn, the windows that
-    reach across b into the splice, laid over b's reduced series; b's
-    own segment loses b there. b's lag sums add, in series order, the
-    full-series windows before `lead[b]`, the rows `spliced[b]` (-1
-    pads) and the full-series windows t with `before[t] > b`.
+    Block row b holds block b's points, and junction row i the R points
+    before and the R points from boundary s_{i+1}, each from column 0.
+    Positions outside the series index the 0 appended past its end.
     """
 
     def __init__(self, n, n_blocks, lags):
@@ -85,65 +83,33 @@ class _Deletions:
         self.m = n - self.lens
         self.lags, _ = _check_lags(int(self.m.min()), lags)
         self.pairs = self.m[:, None] - np.abs(self.lags)
-        left = -int(self.lags.min(initial=0))
-        right = int(self.lags.max(initial=0))
-        reach = max(left, right)
+        self.reach = reach = int(np.abs(self.lags).max(initial=0))
 
-        g = max(1, -(-reach // int(self.lens.min())))
-        seg_lo = self.starts[::g]
-        seg_hi = np.append(seg_lo[1:], n)
-        n_seg = len(seg_lo)
-        blocks = np.arange(n_blocks)
-        own = blocks // g
-        # segments before b's own whose window ends past b's start, and
-        # after it whose window starts before b's end
-        self.lead = np.minimum(
-            np.searchsorted(seg_hi + right, self.starts, "right"), own)
-        last = np.maximum(
-            np.searchsorted(seg_lo - left, ends, "left") - 1, own)
-        self.spliced = np.full((n_blocks, int(np.max(last - self.lead)) + 1), -1)
-        row_b, row_t = [], []
-        for b in blocks:
-            ts = [t for t in range(self.lead[b], last[b] + 1)
-                  if t != own[b] or seg_hi[t] - seg_lo[t] > self.lens[b]]
-            self.spliced[b, :len(ts)] = n_seg + len(row_t) + np.arange(len(ts))
-            row_b += [b] * len(ts)
-            row_t += ts
-        # segment t's own window comes after the splice of every b < before[t]
-        self.before = np.searchsorted(last, np.arange(n_seg), "left")
-        self.n_seg = n_seg
-
-        # each row's return elements [x_lo, x_hi) in its reduced series
-        rb = np.concatenate((np.full(n_seg, -1), row_b)).astype(np.int64)
-        rt = np.concatenate((np.arange(n_seg), row_t)).astype(np.int64)
-        gone = np.where(rb >= 0, self.lens[rb], 0)
-        mine = np.where(rb >= 0, own[rb], n_seg)
-        x_lo = seg_lo[rt] - gone * (rt > mine)
-        x_hi = seg_hi[rt] - gone * (rt >= mine)
-        self.nfft = next_fast_len(int(np.max(x_hi - x_lo)) + left + right)
-        step = max(1, _ROW_BLOCK_BYTES // (8 * self.nfft))
-        self.row_blocks = [slice(i, i + step) for i in range(0, len(rt), step)]
-        # window column c is position x_lo - left + c: x fills the columns
-        # [left, x_end), y reaches max|lag| past them (n: the appended 0)
-        self.left, self.x_end = left, (x_hi - x_lo + left)[:, None]
-        y_hi = np.minimum(x_hi + right, n - gone)[:, None]
-        self.y_idx = np.empty((len(rt), self.nfft), np.intp)
-        for rows in self.row_blocks:
-            pos = (x_lo[rows] - left)[:, None] + np.arange(self.nfft)
-            self.y_idx[rows] = np.where((pos >= 0) & (pos < y_hi[rows]),
-                                        self._full_index(pos, rb[rows, None]), n)
-
+        cols = np.arange(int(self.lens.max()))
+        self.block_idx = np.where(cols < self.lens[:, None],
+                                  self.starts[:, None] + cols, n)
+        self.block_nfft = next_fast_len(len(cols) + reach)
+        self.block_rows = _row_blocks(n_blocks, self.block_nfft)
         edge = np.arange(reach)
-        self.head_idx = self._full_index(edge[None, :], blocks[:, None])
-        self.tail_idx = self._full_index(self.m[:, None] - 1 - edge,
-                                         blocks[:, None])
+        at = self.starts[1:, None] + edge
+        self.before_idx = np.where(at >= reach, at - reach, n)
+        self.after_idx = np.minimum(at, n)
+        self.junction_nfft = nj = next_fast_len(max(3 * reach, 1))
+        self.junction_rows = _row_blocks(n_blocks - 1, nj)
 
-    def _full_index(self, pos, b):
-        """Full-series index of position `pos` of b's reduced series.
+        # X_b(j) is nonzero only at the `wide` lags |j| > len_b, where it
+        # is Sp_b at reduced lag j -+ len_b: flat index b * nj + column
+        self.wide = np.flatnonzero(np.abs(self.lags) > self.lens.min())
+        wide = self.lags[self.wide]
+        self.straddle = np.abs(wide) > self.lens[:, None]
+        self.straddle_at = (np.arange(n_blocks)[:, None] * nj
+                            + (wide - np.sign(wide) * self.lens[:, None]) % nj)
 
-        b = -1 stands for the full series itself.
-        """
-        return pos + np.where((b >= 0) & (pos >= self.starts[b]), self.lens[b], 0)
+        # full-series indices of the first and last R points of each
+        # reduced series (its positions from s_b on lie past block b)
+        self.head_idx, self.tail_idx = (
+            pos + np.where(pos >= self.starts[:, None], self.lens[:, None], 0)
+            for pos in (edge, self.m[:, None] - 1 - edge))
 
     def moments(self, v):
         """Moments of every reduced series of v, built from per-block ones.
@@ -166,7 +132,8 @@ class _Deletions:
         sd = math.sqrt(float(np.mean(v * v)))
         s = np.add.reduceat(v, self.starts)
         mu_k = s / self.lens
-        dev = v - np.repeat(mu_k, self.lens)
+        dev = np.repeat(mu_k, self.lens)
+        np.subtract(v, dev, out=dev)
         dev *= dev
         m2 = np.add.reduceat(dev, self.starts)
         # cumsum adds the blocks one at a time in series order; the
@@ -183,17 +150,11 @@ class _Deletions:
         tail = np.hstack((zero, np.cumsum(shifted[self.tail_idx], axis=1)))
         return shifted, sd, total, mu, np.sqrt(ss / self.m), head, tail
 
-    def in_reduced_order(self, rows):
-        """The full-series sum of the window rows (lags,), and per
-        deletion b the sum of its windows' rows (B, lags)."""
-        lead = np.cumsum(rows[:self.n_seg], axis=0)
-        acc = np.where((self.lead > 0)[:, None], lead[self.lead - 1], 0.0)
-        for col in self.spliced.T:
-            has = col >= 0
-            acc[has] += rows[col[has]]
-        for t, n_b in enumerate(self.before):
-            acc[:n_b] += rows[t]
-        return lead[-1], acc
+
+def _row_blocks(n_rows, nfft):
+    """Slices of rows that keep each block near `_ROW_BLOCK_BYTES`."""
+    step = max(1, _ROW_BLOCK_BYTES // (8 * nfft))
+    return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
 
 
 def _sigma_from_thetas(thetas):
@@ -214,27 +175,67 @@ def _sweep(r, ds, lags, cfg, workers=1):
     full_pairs = len(x) - cut
 
     x, sdx, tx, mx, sx, xhead, xtail = dl.moments(x)
-    cols = np.arange(dl.nfft)
-    x_spec = np.empty((len(dl.y_idx), dl.nfft // 2 + 1), complex)
-    for rows in dl.row_blocks:
-        x_in = (cols >= dl.left) & (cols < dl.x_end[rows])
-        x_spec[rows] = np.conj(np.fft.rfft(np.where(x_in, x[dl.y_idx[rows]], 0.0)))
+    nb, nj, reach = dl.block_nfft, dl.junction_nfft, dl.reach
+    x_block = np.empty((len(dl.lens), nb // 2 + 1), complex)
+    for rows in dl.block_rows:
+        x_block[rows] = np.conj(np.fft.rfft(x[dl.block_idx[rows]], nb))
+    # y's junction points start at column 0 and x's sit at their offset
+    # from y's first point (the R before a boundary wrap to the row's
+    # end), so an output column is the lag of its pairs
+    xa, xb = np.zeros((2, len(dl.before_idx), nj))
+    xa[:, nj - reach:] = x[dl.before_idx]
+    xb[:, reach:2 * reach] = x[dl.after_idx]
+    xa, xb = np.conj(np.fft.rfft(xa)), np.conj(np.fft.rfft(xb))
     # the pairs at lag j leave out the last (j > 0) or first |j| returns
     sum_x = tx[:, None] - np.where(fwd, xtail[:, cut], xhead[:, cut])
+    block_cols, junction_cols = dl.lags % nb, dl.lags % nj
 
     def one(d):
         y, sdy, ty, my, sy, yhead, ytail = dl.moments(abs_power(r, d).values)
-        windows = np.empty((len(dl.y_idx), len(dl.lags)))
-        for rows in dl.row_blocks:
-            spec = np.fft.rfft(y[dl.y_idx[rows]])
-            spec *= x_spec[rows]
-            windows[rows] = np.fft.irfft(spec, dl.nfft)[:, dl.lags % dl.nfft]
+        # acc[b] starts as P_b; junction[p] is J(s_p) (0 at both ends),
+        # splice[b] Sp_b and straddle[b] X_b (0 for the end blocks)
+        acc, splice = np.empty((2, len(dl.lens), len(dl.lags)))
+        junction = np.empty((len(dl.lens) + 1, len(dl.lags)))
+        straddle = np.empty(dl.straddle.shape)
+        junction[[0, -1]] = splice[[0, -1]] = straddle[[0, -1]] = 0.0
+        for rows in dl.block_rows:
+            spec = np.fft.rfft(y[dl.block_idx[rows]], nb)
+            spec *= x_block[rows]
+            acc[rows] = np.fft.irfft(spec, nb)[:, block_cols]
+        for rows in dl.junction_rows:
+            i, k = rows.start, rows.stop - rows.start
+            before = np.fft.rfft(y[dl.before_idx[rows]], nj)
+            after = np.fft.rfft(y[dl.after_idx[i:i + k + 1]], nj)
+            # J(s_{i+1}) .. J(s_{i+k}), then Sp of the blocks i + 1 .. i + k2
+            # (those with two neighbours); J and Sp multiply in the same
+            # operand order, so equal inputs give bit-equal spectra
+            k2 = len(after) - 1
+            b = slice(i + 1, i + 1 + k2)
+            spec = np.empty((k + k2, nj // 2 + 1), complex)
+            np.multiply(xa[rows], after[:k], out=spec[:k])
+            np.multiply(xa[i:i + k2], after[1:], out=spec[k:])
+            spec[k:] += np.multiply(before[:k2], xb[b], out=after[1:])
+            before *= xb[rows]
+            spec[:k] += before
+            out = np.fft.irfft(spec, nj)
+            sums = out[:, junction_cols]
+            junction[i + 1:i + 1 + k], splice[b] = sums[:k], sums[k:]
+            at = dl.straddle_at[b] - (i + 1) * nj
+            straddle[b] = out[k:].take(at) * dl.straddle[b]
+        full = acc.sum(axis=0) + junction.sum(axis=0)
+        full[dl.wide] -= straddle.sum(axis=0)
+        acc += junction[1:]
+        acc += np.subtract(junction[:-1], splice, out=splice)
+        cov = np.subtract(full, acc, out=acc)
+        cov[:, dl.wide] += straddle
+        # centre each reduced series' lag sums on its own means
         sum_y = ty[:, None] - np.where(fwd, yhead[:, cut], ytail[:, cut])
-        full, reduced = dl.in_reduced_order(windows)
-        cov = (reduced - my[:, None] * sum_x
-               - mx[:, None] * sum_y + dl.pairs * (mx * my)[:, None])
-        return (full / full_pairs / (sdx * sdy),
-                _sigma_from_thetas(cov / dl.pairs / (sx * sy)[:, None]))
+        cov -= my[:, None] * sum_x
+        cov -= mx[:, None] * sum_y
+        cov += dl.pairs * (mx * my)[:, None]
+        cov /= dl.pairs
+        cov /= (sx * sy)[:, None]
+        return full / full_pairs / (sdx * sdy), _sigma_from_thetas(cov)
 
     if workers > 1 and len(ds) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -245,7 +246,7 @@ def _sweep(r, ds, lags, cfg, workers=1):
     return np.array(values), np.array(sigmas)
 
 
-def jackknife_sigma(r, d, lags, cfg=JackknifeConfig(), workers=1):
+def jackknife_sigma(r, d, lags, cfg=JackknifeConfig()):
     """One-sigma jackknife errors of CC_d(j) at the given lags.
 
     For each of the B blocks, CC_d(j) is recomputed with that block
@@ -261,16 +262,14 @@ def jackknife_sigma(r, d, lags, cfg=JackknifeConfig(), workers=1):
     lags : sequence of int
         Signed lags, same convention as `cross_correlation`.
     cfg : JackknifeConfig
-    workers : int
-        Accepted for compatibility: a single power runs on one thread
-        (`sweep_with_sigmas` spreads powers over threads), and the
-        result is identical for any value.
 
     Returns
     -------
     numpy.ndarray
         sigma(j) >= 0 aligned with `lags`.
     """
+    if not d > 0:
+        raise ConfigInvalid(f"power d must be > 0, got {d}")
     return _sweep(r, [float(d)], lags, cfg)[1][0]
 
 

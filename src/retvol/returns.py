@@ -104,4 +104,6 @@ def abs_power(r, d):
     if not d > 0:
         raise ValueError(f"power d must be > 0, got {d}")
     values = r.values if isinstance(r, NormalizedReturns) else np.asarray(r)
-    return PoweredSeries(float(d), np.abs(values) ** float(d))
+    powered = np.abs(values)
+    powered **= float(d)
+    return PoweredSeries(float(d), powered)

@@ -103,7 +103,7 @@ def test_criterion_3_leverage_detection():
                      n=n, seed=31337)
     nr = standardize(gen_asym_garch(spec))
     cc = cross_correlation(nr, abs_power(nr, 2.0), 1)
-    sigma = jackknife_sigma(nr, 2.0, [1], cfg, workers=2)[0]
+    sigma = jackknife_sigma(nr, 2.0, [1], cfg)[0]
     detected = cc < 0 and abs(cc) > 3 * sigma
 
     ok_null = 0
@@ -113,7 +113,7 @@ def test_criterion_3_leverage_detection():
                           n=n, seed=50_000 + seed)
         nr0 = standardize(gen_asym_garch(spec0))
         cc0 = cross_correlation(nr0, abs_power(nr0, 2.0), 1)
-        sig0 = jackknife_sigma(nr0, 2.0, [1], cfg, workers=2)[0]
+        sig0 = jackknife_sigma(nr0, 2.0, [1], cfg)[0]
         ok_null += abs(cc0) < 3 * sig0
     elapsed = time.perf_counter() - t0
     check("criterion 3 (leverage detection)",
@@ -260,7 +260,7 @@ def _two_minute_fits(ticks, d):
     prices = resample(ticks, 120)
     nr = standardize(apply_gap_policy(log_returns(prices)))
     prof = correlation_profile(nr, d, 0, 200)
-    sig = jackknife_sigma(nr, d, prof.lags, JackknifeConfig(100), workers=2)
+    sig = jackknife_sigma(nr, d, prof.lags, JackknifeConfig(100))
     prof.sigmas = sig
     pts = fit_points_from_profile(prof, 1, 200)
     return fit_power_law(pts, (1, 200)), fit_exponential(pts, (1, 200))

@@ -8,7 +8,8 @@ from retvol import errors, jackknife
 from retvol.jackknife import (JackknifeConfig, block_bounds, jackknife_sigma,
                               sweep_with_sigmas)
 from retvol.crosscorr import sweep_powers
-from retvol.returns import NormalizedReturns, ReturnSeries, standardize
+from retvol.returns import (NormalizedReturns, ReturnSeries, abs_power,
+                            standardize)
 from retvol.rng import standard_normals
 
 
@@ -60,20 +61,19 @@ def test_matches_naive_oracle():
     (82, 1003, 7, 0.5, list(range(-30, 31))),
     # a non-contiguous lag set without 0
     (83, 1000, 10, 3.0, [-7, 3, 40]),
+    # uneven blocks of 54 and 55 points, shorter than the lags reach
+    (89, 2003, 37, 1.5, list(range(-150, 60))),
+    # four blocks of 100 points and a lag of 95: most pairs at it cross
+    # a boundary, and the end blocks' splices are 0
+    (90, 400, 4, 2.0, [0, 1, 2, 95]),
+    # the single lag 0: no pair crosses a boundary
+    (91, 1000, 10, 0.7, [0]),
 ])
 def test_engine_matches_oracle(seed, n, blocks, d, lags):
     nr = normalized(seed, n)
     got = jackknife_sigma(nr, d, lags, JackknifeConfig(blocks))
     want = oracle_jackknife_sigma(nr.values, d, lags, blocks)
     assert np.max(np.abs(got - want)) < 1e-12
-
-
-def test_deterministic_across_workers():
-    nr = normalized(78, 4000)
-    lags = np.arange(-20, 21)
-    a = jackknife_sigma(nr, 2.0, lags, JackknifeConfig(20), workers=1)
-    b = jackknife_sigma(nr, 2.0, lags, JackknifeConfig(20), workers=4)
-    assert np.array_equal(a, b)
 
 
 def test_sigma_shrinks_with_root_n():
@@ -106,6 +106,15 @@ def test_inexact_constant_leave_one_out_subseries():
     nr = NormalizedReturns(vals, 0.0, 1.0)
     with pytest.raises(errors.DegenerateVariance):
         jackknife_sigma(nr, 1.5, [-3, 0, 2], JackknifeConfig(4))
+
+
+@pytest.mark.parametrize("d", [0.0, -1.5, float("nan")])
+def test_bad_power_is_a_typed_error(d):
+    nr = normalized(92, 400)
+    with pytest.raises(errors.ConfigInvalid):
+        jackknife_sigma(nr, d, [0, 1], JackknifeConfig(4))
+    with pytest.raises(errors.ConfigInvalid):
+        sweep_with_sigmas(nr, [d], -1, 1, JackknifeConfig(4))
 
 
 def test_lag_out_of_range_in_reduced_series():
@@ -152,8 +161,8 @@ def test_sweep_with_sigmas_computes_values_whatever_it_is_given():
 
 
 @pytest.mark.parametrize("n,blocks,lag", [
-    (3000, 10, 40),    # blocks longer than max|lag|: one block per segment
-    (2000, 40, 120),   # blocks of 50 points: segments of 3 blocks
+    (3000, 10, 40),    # blocks longer than max|lag|
+    (2000, 40, 120),   # blocks of 50 points: pairs straddle whole blocks
 ])
 def test_row_blocks_change_no_result(monkeypatch, n, blocks, lag):
     nr = normalized(87, n)
@@ -161,13 +170,16 @@ def test_row_blocks_change_no_result(monkeypatch, n, blocks, lag):
     cfg = JackknifeConfig(blocks)
     want = sweep_with_sigmas(nr, grid, -lag, lag, cfg)
     dl = jackknife._Deletions(n, blocks, np.arange(-lag, lag + 1))
-    rows = len(dl.y_idx)
-    assert len(dl.row_blocks) == 1
-    # one row per block, then blocks that do not divide the row count
-    for per_block in (1, next(k for k in range(5, rows) if rows % k)):
-        monkeypatch.setattr(jackknife, "_ROW_BLOCK_BYTES", 8 * dl.nfft * per_block)
-        assert len(jackknife._Deletions(n, blocks, dl.lags).row_blocks) == \
-            -(-rows // per_block)
+    assert len(dl.block_rows) == len(dl.junction_rows) == 1
+    # one row per block, then blocks of four junction rows and of three
+    # block rows, which divide neither row count
+    for row_bytes in (1, 32 * dl.junction_nfft, 24 * dl.block_nfft):
+        monkeypatch.setattr(jackknife, "_ROW_BLOCK_BYTES", row_bytes)
+        got_dl = jackknife._Deletions(n, blocks, dl.lags)
+        for rows, nfft, n_rows in ((got_dl.block_rows, dl.block_nfft, blocks),
+                                   (got_dl.junction_rows, dl.junction_nfft,
+                                    blocks - 1)):
+            assert len(rows) == -(-n_rows // max(1, row_bytes // (8 * nfft)))
         for workers in (1, 3):
             got = sweep_with_sigmas(nr, grid, -lag, lag, cfg, workers=workers)
             for p, q in zip(want.profiles, got.profiles):
@@ -188,3 +200,18 @@ def test_sweep_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 28 * 2**20
+
+
+def test_moment_temporaries_stay_bounded():
+    # abs_power raises to the power in place and moments subtracts into
+    # the np.repeat output: the traced peak holds two N-long arrays
+    # (16 MB at 10^6 returns) where it held three
+    r = normalized(93, 1_000_000)
+    dl = jackknife._Deletions(len(r), 100, [0, 1])
+    tracemalloc.start()
+    try:
+        dl.moments(abs_power(r, 2.0).values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
