@@ -1,10 +1,10 @@
 """Tick-data ingestion: headerless `unixtime,price,amount` CSV streams.
 
 The parser reads the stream in chunks of CHUNK_BYTES and never holds
-the whole text. One thread reads (and gunzips) the next chunk and
-hands it to a pool of _SCAN_THREADS threads, which run the numpy half
-of up to that many chunks at once. The caller then parses each chunk's
-remaining lines per line, in chunk order, so records, line numbers and
+the whole text. The calling thread reads (and gunzips) each chunk and
+submits its numpy half to a pool of _SCAN_THREADS threads. With that
+many chunks in flight, it parses the oldest one's remaining lines per
+line, so chunks are finished in order and records, line numbers and
 errors are those of a serial read. A vectorized reader parses a
 chunk's plain decimal lines: their non-digit bytes are `,,`, `,.,`,
 `,,.` or `,.,.` before the newline, the timestamp has 1 to 18 digits,
@@ -34,14 +34,14 @@ the rows in runs of equal timestamps of a sorted series.
 import gzip
 import math
 import zlib
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (EmptyInput, MalformedLine, NonPositivePrice, RetvolError,
-                     UnreadableInput)
+from .errors import (ConfigInvalid, EmptyInput, MalformedLine,
+                     NonPositivePrice, RetvolError, UnreadableInput)
 
 STRICT = "strict"
 LENIENT = "lenient"
@@ -145,24 +145,6 @@ def _line_chunks(stream, text):
         if cut:
             yield data[:cut]
         tail = data[cut:] + held
-
-
-def _read_ahead(chunks):
-    """Yield the items of `chunks` (never None), each read on one thread
-    while the caller handles the one before.
-
-    A reader exception is raised here as the same object. Every exit,
-    closing early included, cancels the pending read or waits for it to
-    return, and joins the thread.
-    """
-    reader = ThreadPoolExecutor(1)
-    try:
-        pending = reader.submit(next, chunks, None)
-        while (item := pending.result()) is not None:
-            pending = reader.submit(next, chunks, None)
-            yield item
-    finally:
-        reader.shutdown(cancel_futures=True)
 
 
 def _split(x):
@@ -367,12 +349,6 @@ def _finish_chunk(chunk, scan, codec, strict, line_no):
     return (t[keep], p[keep], v[keep]), len(keep)
 
 
-def _scans(chunks, strict, pool):
-    """Yield each chunk with the future of its numpy half on `pool`."""
-    for chunk in chunks:
-        yield chunk, pool.submit(_scan_chunk, chunk, strict)
-
-
 def _column(pieces, order):
     """Concatenate a column's chunk pieces, freeing them, and gather it
     by `order` unless that is None."""
@@ -388,15 +364,17 @@ def parse_tick_csv(stream, strictness=STRICT, source_label=""):
     ----------
     stream : file-like
         Byte or text stream of headerless CSV lines. Byte streams end
-        lines at LF, CRLF or CR; text streams at LF or CRLF. One thread
-        reads (and gunzips) the stream one chunk (CHUNK_BYTES, to a
-        line end) ahead of the parse and hands each chunk to a pool of
-        _SCAN_THREADS threads, which run the numpy halves of up to that
-        many chunks at once. The caller parses the lines left to the
-        per-line parser chunk by chunk, in order. Where parsing stops,
-        one more chunk may have been read, and an error is raised only
-        once the running read returns (on a pipe or socket, after more
-        data or its end).
+        lines at LF, CRLF or CR; text streams at LF or CRLF. The calling
+        thread reads (and gunzips) the stream in chunks of CHUNK_BYTES,
+        cut at a line end, and submits each chunk's numpy half to a pool
+        of _SCAN_THREADS threads. Once that many chunks are in flight,
+        it parses the oldest one's remaining lines per line, so chunks
+        are finished in order. No read outlives the call, but reads run
+        up to _SCAN_THREADS chunks ahead of the chunk being finished: a
+        strict-mode error is raised only after those reads return (on
+        a pipe or socket, after more data or its end). A failed read is
+        raised after the chunks read before it are finished, so their
+        strict-mode error wins, as in a serial read.
     strictness : {"strict", "lenient"}
         Strict raises on the first bad line; lenient counts and skips.
     source_label : str
@@ -416,28 +394,44 @@ def parse_tick_csv(stream, strictness=STRICT, source_label=""):
         Strict mode, a parsable line whose price is <= 0.
     EmptyInput
         No valid records in the stream.
+    ConfigInvalid
+        An unknown `strictness`.
     """
     if strictness not in (STRICT, LENIENT):
-        raise ValueError(f"unknown strictness {strictness!r}")
+        raise ConfigInvalid(f"unknown strictness {strictness!r}")
     strict = strictness == STRICT
     text = isinstance(stream.read(0), str)
     codec = ("utf-8", "surrogatepass") if text else ("ascii", "replace")
 
     cols, n_lines = ([], [], []), 0
-    pool = ThreadPoolExecutor(_SCAN_THREADS)
-    # the reader is joined first, as it submits to the pool; no thread
-    # outlives the call
-    try:
-        with closing(_read_ahead(_scans(_line_chunks(stream, text), strict,
-                                        pool))) as chunks:
-            for chunk, scan in chunks:
-                records, n = _finish_chunk(chunk, scan.result(), codec,
-                                           strict, n_lines + 1)
-                for col, x in zip(cols, records):
-                    col.append(x)
-                n_lines += n
-    finally:
-        pool.shutdown(cancel_futures=True)
+    pending = deque()   # (chunk, future of its numpy half), oldest first
+
+    def finish(until):
+        """Finish the oldest chunks until `until` are left in flight."""
+        nonlocal n_lines
+        while len(pending) > until:
+            chunk, scan = pending.popleft()
+            records, n = _finish_chunk(chunk, scan.result(), codec, strict,
+                                       n_lines + 1)
+            for col, x in zip(cols, records):
+                col.append(x)
+            n_lines += n
+
+    chunks = _line_chunks(stream, text)
+    # leaving the block joins the pool: no thread outlives the call
+    with ThreadPoolExecutor(_SCAN_THREADS) as pool:
+        while True:
+            try:
+                chunk = next(chunks, None)
+            except Exception:
+                # finish the chunks read before it: their errors win
+                finish(0)
+                raise
+            if chunk is None:
+                break
+            finish(_SCAN_THREADS - 1)
+            pending.append((chunk, pool.submit(_scan_chunk, chunk, strict)))
+        finish(0)
     n_valid = sum(map(len, cols[0]))
     if not n_valid:
         raise EmptyInput("no valid tick records in input")

@@ -81,6 +81,8 @@ class _Deletions:
         self.starts, ends = bounds[:-1], bounds[1:]
         self.lens = ends - self.starts
         self.m = n - self.lens
+        # row b masks out block b
+        self.other = ~np.eye(n_blocks, dtype=bool)
         self.lags, _ = _check_lags(int(self.m.min()), lags)
         self.pairs = self.m[:, None] - np.abs(self.lags)
         self.reach = reach = int(np.abs(self.lags).max(initial=0))
@@ -119,11 +121,10 @@ class _Deletions:
         population sigmas (B,), and the sums of the first and of the last
         i points of each reduced series (B, max|lag| + 1).
         """
-        other = ~np.eye(len(self.starts), dtype=bool)
         lo = np.minimum.reduceat(v, self.starts)
         hi = np.maximum.reduceat(v, self.starts)
-        if np.any(np.where(other, hi, -np.inf).max(axis=1)
-                  == np.where(other, lo, np.inf).min(axis=1)):
+        if np.any(np.where(self.other, hi, -np.inf).max(axis=1)
+                  == np.where(self.other, lo, np.inf).min(axis=1)):
             raise DegenerateVariance("series is constant")
 
         shifted = np.zeros(len(v) + 1)
@@ -138,9 +139,10 @@ class _Deletions:
         m2 = np.add.reduceat(dev, self.starts)
         # cumsum adds the blocks one at a time in series order; the
         # deleted block contributes an exact 0
-        total = np.cumsum(np.where(other, s, 0.0), axis=1)[:, -1]
+        total = np.cumsum(np.where(self.other, s, 0.0), axis=1)[:, -1]
         mu = total / self.m
-        ss = np.cumsum(np.where(other, m2 + self.lens * (mu_k - mu[:, None]) ** 2,
+        ss = np.cumsum(np.where(self.other,
+                                m2 + self.lens * (mu_k - mu[:, None]) ** 2,
                                 0.0), axis=1)[:, -1]
         if sd == 0.0 or np.any(ss == 0.0):
             raise DegenerateVariance("series has zero variance")

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVariance
+from .errors import ConfigInvalid, DegenerateVariance
 from .sampling import DROP_INTERVAL
 
 _MIN_LEN = 2
@@ -100,9 +100,10 @@ def standardize(returns):
 
 
 def abs_power(r, d):
-    """Elementwise |r_i|^d for d > 0; |0|^d is exactly 0."""
+    """Elementwise |r_i|^d for d > 0 (else ConfigInvalid); |0|^d is
+    exactly 0."""
     if not d > 0:
-        raise ValueError(f"power d must be > 0, got {d}")
+        raise ConfigInvalid(f"power d must be > 0, got {d}")
     values = r.values if isinstance(r, NormalizedReturns) else np.asarray(r)
     powered = np.abs(values)
     powered **= float(d)

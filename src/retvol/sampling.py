@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid, InsufficientData
+from .errors import ConfigInvalid, InsufficientData, InvalidTicks
 
 CARRY_FORWARD = "carry_forward"
 DROP_INTERVAL = "drop_interval"
@@ -76,6 +76,8 @@ def resample(ticks, delta_t, gap_policy=CARRY_FORWARD):
         delta_t <= 0 or an unknown gap_policy.
     InsufficientData
         Fewer than 2 grid points are covered by the ticks.
+    InvalidTicks
+        Timestamps out of order.
     """
     delta_t = int(delta_t)
     if delta_t <= 0:
@@ -87,7 +89,7 @@ def resample(ticks, delta_t, gap_policy=CARRY_FORWARD):
         raise InsufficientData("empty tick series")
     t = ticks.timestamps
     if n > 1 and not np.all(t[1:] >= t[:-1]):
-        raise ValueError("tick series must be sorted by timestamp")
+        raise InvalidTicks("tick series must be sorted by timestamp")
 
     t_first = int(t[0])
     t_last = int(t[-1])

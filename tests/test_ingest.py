@@ -80,6 +80,12 @@ def test_empty_input():
         parse("garbage\n", strictness="lenient")
 
 
+def test_unknown_strictness_raises_config_invalid():
+    with pytest.raises(errors.ConfigInvalid,
+                       match="unknown strictness 'loose'"):
+        parse("10,1.5,2\n", strictness="loose")
+
+
 def test_crlf_and_bytes_stream():
     ts = parse_tick_csv(io.BytesIO(b"10,1.5,2\r\n20,2.5,0\r\n"))
     assert list(ts.prices) == [1.5, 2.5]

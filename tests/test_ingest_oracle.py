@@ -361,8 +361,8 @@ def test_crlf_text_stream_takes_fast_path(monkeypatch):
     assert calls == []
 
 
-# The read-ahead thread: one reader runs ahead of the parse, which stays
-# on the calling thread in chunk order.
+# Reads and finishes stay on the calling thread, in chunk order, while a
+# pool of _SCAN_THREADS threads runs the numpy halves of the chunks read.
 
 def dirty_lines(n, bad_at):
     rng = np.random.default_rng(5)
@@ -430,18 +430,37 @@ def test_read_ahead_truncated_gzip_is_unreadable(tmp_path, monkeypatch):
     assert isinstance(exc.value.__cause__, EOFError)
 
 
-def test_read_ahead_reraises_the_reader_exception():
+def test_a_failed_read_is_raised_as_the_same_object(monkeypatch):
+    monkeypatch.setattr(ingest, "CHUNK_BYTES", 64)
     error = OSError("disk gone")
+    stream = io.BytesIO(b"10,1.0,1\n" * 100)
+    read = stream.read
 
-    def chunks():
-        yield b"10,1.0,1\n"
-        raise error
+    def fail_after_300_bytes(size=-1):
+        if stream.tell() >= 300:
+            raise error
+        return read(size)
 
-    ahead = ingest._read_ahead(chunks())
-    assert next(ahead) == b"10,1.0,1\n"
+    stream.read = fail_after_300_bytes
     with pytest.raises(OSError) as exc:
-        next(ahead)
+        parse_tick_csv(stream, "strict")
     assert exc.value is error
+
+
+def test_the_parse_runs_at_most_scan_threads_more_threads(monkeypatch):
+    monkeypatch.setattr(ingest, "CHUNK_BYTES", 64)
+    before = threading.active_count()
+    extra = []
+    scan = ingest._scan_chunk
+
+    def counted(chunk, strict):
+        extra.append(threading.active_count() - before)
+        return scan(chunk, strict)
+
+    monkeypatch.setattr(ingest, "_scan_chunk", counted)
+    ts = parse_tick_csv(io.BytesIO(b"10,1.0,1\n" * 500), "strict")
+    assert len(ts) == 500 and len(extra) > ingest._SCAN_THREADS
+    assert max(extra) <= ingest._SCAN_THREADS
 
 
 @pytest.mark.parametrize("data,strictness,error", [
@@ -462,14 +481,6 @@ def test_no_reader_thread_outlives_the_parse(monkeypatch, data, strictness,
         with pytest.raises(error) as info:
             parse_tick_csv(io.BytesIO(data), strictness)
         assert info.tb is not None
-    assert threading.active_count() == before
-
-
-def test_closing_the_read_ahead_early_joins_its_thread():
-    before = threading.active_count()
-    ahead = ingest._read_ahead(iter(range(100)))
-    assert next(ahead) == 0
-    ahead.close()
     assert threading.active_count() == before
 
 

@@ -116,6 +116,13 @@ def test_abs_power_rejects_nonpositive_d():
         abs_power(nr, 0.0)
 
 
+@pytest.mark.parametrize("d", [0.0, -1.0, math.nan])
+def test_abs_power_bad_d_raises_config_invalid(d):
+    nr = NormalizedReturns(np.array([1.0, -1.0]), 0.0, 1.0)
+    with pytest.raises(errors.ConfigInvalid, match="power d must be > 0"):
+        abs_power(nr, d)
+
+
 def test_gap_mask_propagates_and_drops():
     prices = prices_of([1.0, 1.0, 2.0, 2.0], [False, True, False, True],
                        policy="drop_interval")

@@ -137,3 +137,11 @@ def test_rejects_unsorted_ticks():
                      np.array([1.0, 2.0]), np.zeros(2))
     with pytest.raises(ValueError):
         resample(bad, 60)
+
+
+def test_unsorted_ticks_raise_invalid_ticks():
+    bad = TickSeries(np.array([100, 50], dtype=np.int64),
+                     np.array([1.0, 2.0]), np.zeros(2))
+    with pytest.raises(errors.InvalidTicks,
+                       match="tick series must be sorted by timestamp"):
+        resample(bad, 60)
