@@ -29,13 +29,6 @@ def _int_span(lo, hi):
     return int(lo), int(hi)
 
 
-def _lag_span(lo, hi):
-    lo, hi = _int_span(lo, hi)
-    if not lo <= 0 <= hi:
-        raise ValueError("the lag range must contain 0")
-    return lo, hi
-
-
 def _int_at_least(text, least=1):
     if not text.isdigit() or int(text) < least:
         raise argparse.ArgumentTypeError(f"need an integer >= {least}, got {text!r}")
@@ -52,14 +45,14 @@ def build_parser():
     an = sub.add_parser("analyze", help="run the full analysis on a tick CSV")
     an.add_argument("--input", required=True,
                     help="tick CSV (unixtime,price,amount), .gz accepted")
-    an.add_argument("--delta-t", type=_int_at_least, default=120,
+    an.add_argument("--delta-t", type=int, default=120,
                     help="sampling interval in seconds (86400 = daily)")
     an.add_argument("--gap-policy", choices=[CARRY_FORWARD, DROP_INTERVAL],
                     default=CARRY_FORWARD)
     an.add_argument("--d-grid", type=_span(3, power_grid), default="0.1:3.0:0.1",
                     metavar="LO:HI:STEP",
                     help="power grid for |r|^d (default 0.1:3.0:0.1)")
-    an.add_argument("--lags", type=_span(2, _lag_span), default="-200:200",
+    an.add_argument("--lags", type=_span(2, _int_span), default="-200:200",
                     metavar="LO:HI",
                     help="signed lag grid (default -200:200; write "
                          "--lags=-200:200 for negative bounds)")

@@ -15,8 +15,8 @@ cross-correlation (`numpy.fft`, 5-smooth lengths from `next_fast_len`),
 whichever the cost model expects to be cheaper; a single lag always
 takes the dot product. Both must agree with the brute-force definition,
 which is the normative reference (tests enforce 1e-10). A power sweep
-checks its d grid and lag range once (`_sweep_lags`), whether it runs
-here (`sweep_powers`) or in the jackknife engine (`sweep_with_sigmas`).
+checks its grid and lags once (`check_sweep_grid`, `_check_lags`),
+whether here (`sweep_powers`) or in the jackknife (`sweep_with_sigmas`).
 """
 
 import math
@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid, DegenerateVariance, LagOutOfRange
+from .errors import (ConfigInvalid, DegenerateVariance, LagOutOfRange,
+                     LengthMismatch)
 from .returns import abs_power
 
 MIN_PAIRS = 10
@@ -148,7 +149,7 @@ def _profile_values(rv, pv, lags):
     lags, pairs = _check_lags(n, lags)
     rc, sig_r = _centered(rv)
     if len(pv) != n:
-        raise ValueError("series length mismatch")
+        raise LengthMismatch("series length mismatch")
     pc, sig_p = _centered(pv)
     nfft = next_fast_len(n + int(np.max(np.abs(lags))) + 1)
     if 15.0 * nfft * math.log2(nfft) < 2.0 * n * len(lags):
@@ -191,13 +192,9 @@ def correlation_profile(r, d, lag_min, lag_max):
     return sweep_powers(r, [d], lag_min, lag_max).profiles[0]
 
 
-def _sweep_lags(n, d_grid, lag_min, lag_max):
-    """Check a power sweep over a series of length n.
-
-    The d grid must be positive and strictly increasing, and the lag
-    range must straddle 0 and leave >= MIN_PAIRS pairs at every lag.
-    Returns the grid as floats, the lags and their pair counts.
-    """
+def check_sweep_grid(d_grid, lag_min, lag_max):
+    """The d grid as floats; ConfigInvalid unless it is positive and strictly
+    increasing and the lag range straddles 0."""
     d_grid = [float(d) for d in d_grid]
     if not d_grid:
         raise ConfigInvalid("empty d grid")
@@ -206,14 +203,14 @@ def _sweep_lags(n, d_grid, lag_min, lag_max):
     if any(b <= a for a, b in zip(d_grid, d_grid[1:])):
         raise ConfigInvalid("d grid must be strictly increasing")
     if not (lag_min <= 0 <= lag_max):
-        raise ConfigInvalid("lag range must contain 0")
-    lags, pairs = _check_lags(n, np.arange(lag_min, lag_max + 1))
-    return d_grid, lags, pairs
+        raise ConfigInvalid("lag range (--lags LO:HI) must contain 0")
+    return d_grid
 
 
 def sweep_powers(r, d_grid, lag_min, lag_max):
     """One correlation profile per power d, over a shared lag grid."""
-    d_grid, lags, pairs = _sweep_lags(len(r), d_grid, lag_min, lag_max)
+    d_grid = check_sweep_grid(d_grid, lag_min, lag_max)
+    lags, pairs = _check_lags(len(r), np.arange(lag_min, lag_max + 1))
     return SweepResult(np.asarray(d_grid), [
         CorrelationProfile(d, lags, _profile_values(
             r.values, abs_power(r, d).values, lags)[0], pairs)

@@ -37,6 +37,14 @@ class InvalidTicks(RetvolError, ValueError):
     timestamps out of order, or a price that is not finite and > 0."""
 
 
+class InvalidPriceSeries(RetvolError, ValueError):
+    """A PriceSeries has a price <= 0 or a gap mask of another length."""
+
+
+class LengthMismatch(RetvolError, ValueError):
+    """Arrays that must pair up element by element differ in length."""
+
+
 class InsufficientData(RetvolError):
     """Not enough data to build the requested series."""
 

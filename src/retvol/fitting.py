@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InsufficientPoints, MissingSigmas, NoConvergence,
-                     NonPositiveData, NonPositiveSigma, RangeMismatch,
-                     SingularNormalMatrix, WrongModel)
+from .errors import (InsufficientPoints, LengthMismatch, MissingSigmas,
+                     NoConvergence, NonPositiveData, NonPositiveSigma,
+                     RangeMismatch, SingularNormalMatrix, WrongModel)
 
 POWER_LAW = "power_law"
 EXPONENTIAL = "exponential"
@@ -58,7 +58,7 @@ class FitPoints:
         self.y = np.asarray(self.y, dtype=np.float64)
         self.sigma = np.asarray(self.sigma, dtype=np.float64)
         if not (len(self.x) == len(self.y) == len(self.sigma)):
-            raise ValueError("x, y, sigma must have equal length")
+            raise LengthMismatch("x, y, sigma must have equal length")
         if np.any(self.sigma <= 0):
             raise NonPositiveSigma("all sigmas must be > 0")
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crosscorr import (CorrelationProfile, SweepResult, _check_lags,
-                        _sweep_lags, next_fast_len)
+                        check_sweep_grid, next_fast_len)
 from .errors import ConfigInvalid, DegenerateVariance
 from .returns import abs_power
 
@@ -286,7 +286,8 @@ def sweep_with_sigmas(r, d_grid, lag_min, lag_max, cfg=JackknifeConfig(),
     `jackknife_sigma` at its power bit for bit. The powers are spread
     over `workers` threads, which changes no result.
     """
-    ds, lags, pairs = _sweep_lags(len(r), d_grid, lag_min, lag_max)
+    ds = check_sweep_grid(d_grid, lag_min, lag_max)
+    lags, pairs = _check_lags(len(r), np.arange(lag_min, lag_max + 1))
     values, sigmas = _sweep(r, ds, lags, cfg, workers)
     return SweepResult(np.asarray(ds), [
         CorrelationProfile(d, lags, v, pairs, sigmas=s)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .crosscorr import power_grid, sweep_powers
+from .crosscorr import check_sweep_grid, power_grid, sweep_powers
 from .errors import (ConfigInvalid, InsufficientPoints, InvalidTicks,
                      LagOutOfRange, NoConvergence, NonPositiveData,
                      NonPositiveSigma, RetvolError)
@@ -16,8 +16,9 @@ from .fitting import (FitPoints, compare_models, fit_exponential,
 from .ingest import deduplicate, read_tick_file
 from .jackknife import JackknifeConfig, sweep_with_sigmas
 from .report import AnalysisReport, write_report
-from .returns import apply_gap_policy, log_returns, standardize
-from .sampling import CARRY_FORWARD, resample
+from .returns import (apply_gap_policy, check_gap_policy, log_returns,
+                      standardize)
+from .sampling import CARRY_FORWARD, check_delta_t, resample
 
 
 # a fit that fails this way leaves only that fit unavailable
@@ -28,8 +29,10 @@ _FIT_FAILURES = (InsufficientPoints, NonPositiveData, NonPositiveSigma,
 @dataclass
 class AnalysisConfig:
     """Analysis grid and settings; `workers` threads the CC and jackknife
-    pass over powers and never changes a result. A bad fit range, worker
-    count or fit filter raises ConfigInvalid here."""
+    pass over powers and never changes a result. Each setting but the
+    jackknife block count is checked here, delta_t, the gap policy, the d
+    grid and the lags by the same checks `resample`, `apply_gap_policy`
+    and every sweep run; a bad one raises ConfigInvalid naming its flag."""
 
     delta_t: int = 120
     gap_policy: str = CARRY_FORWARD
@@ -44,6 +47,9 @@ class AnalysisConfig:
     extra_metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        check_delta_t(self.delta_t)
+        check_gap_policy(self.gap_policy)
+        check_sweep_grid(self.d_grid, self.lag_min, self.lag_max)
         if self.fit_lo > self.fit_hi or self.fit_hi < 1:
             raise ConfigInvalid("fit range (--fit-range LO:HI) needs "
                                 "LO <= HI and HI >= 1")
@@ -96,8 +102,8 @@ def analyze_ticks(ticks, cfg=AnalysisConfig()):
     holds a price that is not finite and > 0."""
     _check_ticks(ticks)
     ticks = deduplicate(ticks)
-    prices = resample(ticks, cfg.delta_t, cfg.gap_policy)
-    rets = apply_gap_policy(log_returns(prices))
+    prices = resample(ticks, cfg.delta_t)
+    rets = apply_gap_policy(log_returns(prices), cfg.gap_policy)
     r = standardize(rets)
 
     try:
@@ -105,9 +111,9 @@ def analyze_ticks(ticks, cfg=AnalysisConfig()):
         sweep = sweep_with_sigmas(r, cfg.d_grid, cfg.lag_min, cfg.lag_max,
                                   cfg=jk, workers=cfg.workers)
     except (ConfigInvalid, LagOutOfRange):
-        # a bad grid or full-series lag range is reported first, then a
-        # constant series, then a block count or a lag range that only
-        # the deletions rule out
+        # cfg has passed the grid and lag-0 checks, so a full-series lag
+        # range is reported first, then a constant series, then a block
+        # count or a lag range that only the deletions rule out
         sweep_powers(r, cfg.d_grid, cfg.lag_min, cfg.lag_max)
         raise
 

@@ -131,20 +131,9 @@ def _sci(x):
     return f"{float(x):.9e}"
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _dumps(doc, **kw):
+    """Sorted-key JSON; numpy arrays and scalars become Python values."""
+    return json.dumps(doc, sort_keys=True, default=lambda o: o.tolist(), **kw)
 
 
 def fit_to_json(fit):
@@ -152,13 +141,13 @@ def fit_to_json(fit):
     return {
         "model": fit.model,
         "param_names": list(PARAM_NAMES[fit.model]),
-        "params": _jsonable(fit.params),
-        "param_errors": _jsonable(fit.param_errors),
-        "covariance": _jsonable(fit.covariance),
+        "params": fit.params.tolist(),
+        "param_errors": fit.param_errors.tolist(),
+        "covariance": fit.covariance.tolist(),
         "reduced_chi2": float(fit.reduced_chi2),
-        "fit_range": _jsonable(list(fit.fit_range)),
+        "fit_range": list(fit.fit_range),
         "n_points": int(fit.n_points),
-        "excluded_points": _jsonable(fit.excluded_x),
+        "excluded_points": fit.excluded_x,
     }
 
 
@@ -267,17 +256,16 @@ def write_report(report, out_dir):
             fits_doc["fits"].append(entry)
     if report.quadratic_fit is not None:
         fits_doc["quadratic_gamma"] = fit_to_json(report.quadratic_fit)
-    fits_json = json.dumps(fits_doc, indent=1, sort_keys=True)
-    (out / "fits.json").write_text(fits_json + "\n")
+    (out / "fits.json").write_text(_dumps(fits_doc, indent=1) + "\n")
 
     summary = "\n".join(_summary_lines(report)) + "\n"
     (out / "summary.txt").write_text(summary)
 
     files = profile_files + ["gamma_kappa.csv", "fits.json", "summary.txt"]
     body = {
-        "metadata": _jsonable(report.metadata),
+        "metadata": report.metadata,
         "argmax_kappa_d": report.argmax_kappa_d,
-        "long_range": _jsonable({f"{d:g}": v for d, v in report.long_range.items()}),
+        "long_range": {f"{d:g}": v for d, v in report.long_range.items()},
         "files": files,
         "file_sha256": {name: hashlib.sha256((out / name).read_bytes())
                         .hexdigest() for name in files},
@@ -286,13 +274,13 @@ def write_report(report, out_dir):
             for d, c in sorted(report.comparisons.items())
         },
     }
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    canonical = _dumps(body, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode()).hexdigest()
     doc = {
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "body_sha256": digest,
         "body": body,
     }
-    (out / "report.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    (out / "report.json").write_text(_dumps(doc, indent=1) + "\n")
     return {"out_dir": str(out), "files": body["files"], "body_sha256": digest,
             "argmax_kappa_d": report.argmax_kappa_d}

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigInvalid, DegenerateVariance
-from .sampling import DROP_INTERVAL
+from .sampling import CARRY_FORWARD, DROP_INTERVAL
 
 _MIN_LEN = 2
 
@@ -22,7 +22,6 @@ class ReturnSeries:
     values: np.ndarray
     delta_t: int
     source_gap_mask: np.ndarray
-    gap_policy: str = "carry_forward"
 
     def __len__(self):
         return len(self.values)
@@ -59,23 +58,27 @@ def log_returns(prices):
     """
     p = np.asarray(prices.prices, dtype=np.float64)
     values = np.diff(np.log(p))
-    return ReturnSeries(values, prices.delta_t, prices.gap_mask[1:].copy(),
-                        gap_policy=prices.gap_policy)
+    return ReturnSeries(values, prices.delta_t, prices.gap_mask[1:].copy())
 
 
 def drop_gap_returns(returns):
     """Remove returns whose interval had no trades (drop_interval policy)."""
     keep = ~returns.source_gap_mask
     return ReturnSeries(returns.values[keep], returns.delta_t,
-                        np.zeros(int(keep.sum()), dtype=bool),
-                        gap_policy=returns.gap_policy)
+                        np.zeros(int(keep.sum()), dtype=bool))
 
 
-def apply_gap_policy(returns):
-    """Apply the recorded gap policy: drop gap returns iff drop_interval."""
-    if returns.gap_policy == DROP_INTERVAL:
-        return drop_gap_returns(returns)
-    return returns
+def check_gap_policy(policy):
+    """ConfigInvalid unless `policy` is carry_forward or drop_interval."""
+    if policy not in (CARRY_FORWARD, DROP_INTERVAL):
+        raise ConfigInvalid(f"unknown gap policy (--gap-policy) {policy!r}")
+
+
+def apply_gap_policy(returns, policy=CARRY_FORWARD):
+    """Returns under a gap policy: carry_forward keeps the exact-zero
+    returns of trade-free intervals, drop_interval removes them."""
+    check_gap_policy(policy)
+    return drop_gap_returns(returns) if policy == DROP_INTERVAL else returns
 
 
 def standardize(returns):

@@ -4,8 +4,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid, InsufficientData, InvalidTicks
+from .errors import (ConfigInvalid, InsufficientData, InvalidPriceSeries,
+                     InvalidTicks)
 
+# gap policies: what the returns module does with a gap point's return
 CARRY_FORWARD = "carry_forward"
 DROP_INTERVAL = "drop_interval"
 
@@ -17,23 +19,21 @@ class PriceSeries:
     """Prices on a regular grid t0 + k*delta_t (unix seconds, UTC).
 
     gap_mask[k] is True when no trade occurred in (t[k-1], t[k]]; the
-    grid point then repeats the previous price. gap_policy records how
-    downstream return computation should treat those points.
+    grid point then repeats the previous price.
     """
 
     delta_t: int
     t0: int
     prices: np.ndarray
     gap_mask: np.ndarray
-    gap_policy: str = CARRY_FORWARD
 
     def __post_init__(self):
         if len(self.prices) < 2:
             raise InsufficientData("price series needs >= 2 grid points")
         if not np.all(self.prices > 0):
-            raise ValueError("prices must be positive")
+            raise InvalidPriceSeries("prices must be positive")
         if len(self.gap_mask) != len(self.prices):
-            raise ValueError("gap_mask must align with prices")
+            raise InvalidPriceSeries("gap_mask must align with prices")
 
     def __len__(self):
         return len(self.prices)
@@ -48,13 +48,23 @@ class PriceSeries:
         return float(np.mean(self.gap_mask))
 
 
-def resample(ticks, delta_t, gap_policy=CARRY_FORWARD):
+def check_delta_t(delta_t):
+    """delta_t as an int; ConfigInvalid unless it is >= 1 second."""
+    delta_t = int(delta_t)
+    if delta_t < 1:
+        raise ConfigInvalid("delta_t (--delta-t) must be >= 1 second")
+    return delta_t
+
+
+def resample(ticks, delta_t):
     """Sample a tick series onto a fixed grid with the previous-tick rule.
 
     The grid is anchored at multiples of `delta_t` from the UTC epoch:
     the first point is the first tick's timestamp rounded up, the last
     is the first grid time at or after the final tick, so every grid
     point has a defined price and the last trade is always represented.
+    Points with no trade since the one before are flagged in `gap_mask`;
+    the gap policy, applied to the returns, decides what becomes of them.
 
     Parameters
     ----------
@@ -62,9 +72,6 @@ def resample(ticks, delta_t, gap_policy=CARRY_FORWARD):
         Non-empty, sorted by timestamp.
     delta_t : int
         Grid spacing in seconds, > 0.
-    gap_policy : {"carry_forward", "drop_interval"}
-        Stored on the result; carry_forward keeps gap points (zero
-        returns), drop_interval tells downstream stages to drop them.
 
     Returns
     -------
@@ -73,17 +80,13 @@ def resample(ticks, delta_t, gap_policy=CARRY_FORWARD):
     Raises
     ------
     ConfigInvalid
-        delta_t <= 0 or an unknown gap_policy.
+        delta_t < 1.
     InsufficientData
         Fewer than 2 grid points are covered by the ticks.
     InvalidTicks
         Timestamps out of order.
     """
-    delta_t = int(delta_t)
-    if delta_t <= 0:
-        raise ConfigInvalid("delta_t must be a positive number of seconds")
-    if gap_policy not in (CARRY_FORWARD, DROP_INTERVAL):
-        raise ConfigInvalid(f"unknown gap_policy {gap_policy!r}")
+    delta_t = check_delta_t(delta_t)
     n = len(ticks)
     if n == 0:
         raise InsufficientData("empty tick series")
@@ -108,12 +111,12 @@ def resample(ticks, delta_t, gap_policy=CARRY_FORWARD):
     gap_mask = np.empty(n_grid, dtype=bool)
     gap_mask[0] = False
     gap_mask[1:] = idx[1:] == idx[:-1]
-    return PriceSeries(delta_t, t0, prices, gap_mask, gap_policy=gap_policy)
+    return PriceSeries(delta_t, t0, prices, gap_mask)
 
 
-def daily_close_series(ticks, gap_policy=CARRY_FORWARD):
+def daily_close_series(ticks):
     """One price per UTC calendar day: the last trade at or before the
     following midnight. Identical to `resample` at delta_t = 86400,
     whose epoch-multiple anchor is exactly UTC midnight.
     """
-    return resample(ticks, SECONDS_PER_DAY, gap_policy=gap_policy)
+    return resample(ticks, SECONDS_PER_DAY)

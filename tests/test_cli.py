@@ -72,8 +72,6 @@ def test_bad_grid_argument(tmp_path, capsys):
 @pytest.mark.parametrize("flag", [
     "--d-grid=1:2:0",      # zero step
     "--d-grid=2:1:0.1",    # empty grid
-    "--lags=5:10",         # lag range without 0
-    "--delta-t=0",
     "--jk-blocks=1",       # a jackknife needs two blocks
     "--jk-blocks=0",
     "--jk-blocks=-3",
@@ -91,7 +89,7 @@ def test_bad_flag_is_a_usage_error(tmp_path, capsys, flag):
 
 @pytest.mark.parametrize("flag", [
     "--fit-range=5:1", "--fit-range=-3:0", "--workers=0", "--fit-filter=nan",
-    "--fit-filter=-1"])
+    "--fit-filter=-1", "--lags=5:10", "--delta-t=0"])
 def test_bad_setting_is_a_usage_error_before_the_input_is_read(
         tmp_path, capsys, flag):
     # the input does not exist: the config is checked before it is read

@@ -38,6 +38,14 @@ def test_constant_powered_series_degenerate():
         cross_correlation(nr, abs_power(nr, 2.0), 1)
 
 
+def test_powered_series_of_another_length_is_a_typed_error():
+    nr, other = normalized(16, 50), normalized(17, 40)
+    with pytest.raises(errors.LengthMismatch,
+                       match="series length mismatch") as info:
+        cross_correlation(nr, abs_power(other, 2.0), 1)
+    assert isinstance(info.value, ValueError)
+
+
 def test_constant_returns_degenerate():
     nr = NormalizedReturns(np.zeros(50), 0.0, 1.0)
     with pytest.raises(errors.DegenerateVariance):

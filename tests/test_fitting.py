@@ -224,6 +224,13 @@ def test_fit_points_validation():
     assert len(FitPoints([1, 2], [2, 1], [0.1, 0.2])) == 2
 
 
+def test_fit_points_of_unequal_length_are_a_typed_error():
+    with pytest.raises(errors.LengthMismatch,
+                       match="x, y, sigma must have equal length") as info:
+        FitPoints(np.array([1.0, 2.0]), np.array([1.0]), np.array([0.1]))
+    assert isinstance(info.value, ValueError)
+
+
 def test_fit_points_from_profile():
     lags = np.arange(-3, 4)
     values = np.array([0.01, 0.02, 0.03, -0.5, -0.4, -0.001, -0.2])

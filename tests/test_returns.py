@@ -10,11 +10,11 @@ from retvol.returns import (NormalizedReturns, ReturnSeries, abs_power,
 from retvol.sampling import PriceSeries
 
 
-def prices_of(values, gap_mask=None, policy="carry_forward"):
+def prices_of(values, gap_mask=None):
     values = np.asarray(values, dtype=np.float64)
     if gap_mask is None:
         gap_mask = np.zeros(len(values), dtype=bool)
-    return PriceSeries(120, 0, values, np.asarray(gap_mask), gap_policy=policy)
+    return PriceSeries(120, 0, values, np.asarray(gap_mask))
 
 
 def rets_of(values):
@@ -124,14 +124,13 @@ def test_abs_power_bad_d_raises_config_invalid(d):
 
 
 def test_gap_mask_propagates_and_drops():
-    prices = prices_of([1.0, 1.0, 2.0, 2.0], [False, True, False, True],
-                       policy="drop_interval")
+    prices = prices_of([1.0, 1.0, 2.0, 2.0], [False, True, False, True])
     rs = log_returns(prices)
     assert len(rs) == 3
     assert list(rs.source_gap_mask) == [True, False, True]
     # gap-originated returns are exact zeros under carry-forward
     assert rs.values[0] == 0.0 and rs.values[2] == 0.0
-    dropped = apply_gap_policy(rs)
+    dropped = apply_gap_policy(rs, "drop_interval")
     assert len(dropped) == 1
     assert dropped.values[0] == rs.values[1]
 
@@ -145,3 +144,20 @@ def test_drop_gap_returns_explicit():
                       np.array([True, False, True]))
     out = drop_gap_returns(rs)
     assert np.array_equal(out.values, [0.5])
+
+
+def test_unknown_gap_policy_raises_config_invalid():
+    rs = rets_of([0.1, -0.2, 0.3])
+    assert apply_gap_policy(rs, "carry_forward") is rs
+    with pytest.raises(errors.ConfigInvalid, match="unknown gap policy"):
+        apply_gap_policy(rs, "nope")
+
+
+@pytest.mark.parametrize("values,gap_mask,message", [
+    ([1.0, 0.0, 2.0], [False, True, False], "prices must be positive"),
+    ([1.0, 2.0, 3.0], [False, False], "gap_mask must align with prices"),
+], ids=["zero_price", "short_gap_mask"])
+def test_bad_price_series_is_a_typed_error(values, gap_mask, message):
+    with pytest.raises(errors.InvalidPriceSeries, match=message) as info:
+        prices_of(values, gap_mask)
+    assert isinstance(info.value, ValueError)

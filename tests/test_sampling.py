@@ -145,3 +145,11 @@ def test_unsorted_ticks_raise_invalid_ticks():
     with pytest.raises(errors.InvalidTicks,
                        match="tick series must be sorted by timestamp"):
         resample(bad, 60)
+
+
+@pytest.mark.parametrize("delta_t", [0, -120])
+def test_delta_t_below_1_raises_config_invalid(delta_t):
+    # AnalysisConfig runs the same check; resample keeps it for callers
+    # that sample without a config
+    with pytest.raises(errors.ConfigInvalid, match=r"\(--delta-t\)"):
+        resample(ticks_of([(0, 10.0), (150, 11.0)]), delta_t)
