@@ -195,14 +195,18 @@ def correlation_profile(r, d, lag_min, lag_max):
 def check_sweep_grid(d_grid, lag_min, lag_max):
     """The d grid as floats; ConfigInvalid unless it is positive and strictly
     increasing and the lag range straddles 0."""
-    d_grid = [float(d) for d in d_grid]
+    try:
+        d_grid = [float(d) for d in d_grid]
+    except (TypeError, ValueError):
+        raise ConfigInvalid("powers (--d-grid) must be numbers") from None
     if not d_grid:
         raise ConfigInvalid("empty d grid")
     if not all(d > 0 for d in d_grid):
         raise ConfigInvalid("powers must be positive")
     if any(b <= a for a, b in zip(d_grid, d_grid[1:])):
         raise ConfigInvalid("d grid must be strictly increasing")
-    if not (lag_min <= 0 <= lag_max):
+    if not (all(isinstance(v, (int, float, np.number)) for v in (lag_min, lag_max))
+            and lag_min <= 0 <= lag_max):
         raise ConfigInvalid("lag range (--lags LO:HI) must contain 0")
     return d_grid
 

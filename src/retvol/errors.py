@@ -65,6 +65,10 @@ class NonPositiveSigma(RetvolError, ValueError):
     """A fit point carries sigma <= 0, e.g. an exactly zero jackknife sigma."""
 
 
+class NonPositiveX(RetvolError, ValueError):
+    """A power-law fit point lies at x <= 0, where x^-gamma is undefined."""
+
+
 class InsufficientPoints(RetvolError):
     """Too few points inside the fit range."""
 
@@ -97,6 +101,10 @@ class RangeMismatch(RetvolError):
 
 class WrongModel(RetvolError):
     """Operation applies to a different fit model."""
+
+
+class MalformedProfile(RetvolError, ValueError):
+    """A profile CSV does not start with the `emit_profile_csv` header."""
 
 
 class MissingSigmas(RetvolError):

@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import (InsufficientPoints, LengthMismatch, MissingSigmas,
                      NoConvergence, NonPositiveData, NonPositiveSigma,
-                     RangeMismatch, SingularNormalMatrix, WrongModel)
+                     NonPositiveX, RangeMismatch, SingularNormalMatrix,
+                     WrongModel)
 
 POWER_LAW = "power_law"
 EXPONENTIAL = "exponential"
@@ -199,7 +200,7 @@ def _fit_decay(model, points, fit_range):
     y = points.y[positive]
     sigma = points.sigma[positive]
     if model == POWER_LAW and np.any(x <= 0):
-        raise ValueError("power-law fit requires x > 0")
+        raise NonPositiveX("power-law fit requires x > 0")
     w = 1.0 / sigma
     wy = w * y
 

@@ -21,9 +21,12 @@ deleting b leaves S - ((P_b + J(e_b)) + (J(s_b) - Sp_b)) + X_b, where
 J(s_0), J(e_{B-1}) and the end blocks' Sp and X are 0. Work per power
 grows as N + B * R instead of B * N. J(s_b) - Sp_b is exactly 0 when
 the R points after s_b equal those after e_b, so a series of identical
-blocks of at least max|lag| points gives sigma exactly 0. The reduced
-moments come from per-block sums and centred sums of squares, combined
-as in the pairwise update of Chan, Golub & LeVeque (1983).
+blocks of at least max|lag| points gives sigma exactly 0. A block's
+centred sum of squares comes from its sums of v and v^2; the reduced
+moments add the other blocks' in series order, as in the pairwise
+update of Chan, Golub & LeVeque (1983). The lag sums are centred with
+sums over a reduced series' first and last R points, the full series'
+unless the deleted block lies within R of that end.
 
 The same pass yields CC_d(j) itself from S and the global moments.
 Powers are independent, so `workers` threads each take one power at a
@@ -32,6 +35,7 @@ back in grid order and do not depend on the thread count.
 """
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -40,7 +44,6 @@ import numpy as np
 from .crosscorr import (CorrelationProfile, SweepResult, _check_lags,
                         check_sweep_grid, next_fast_len)
 from .errors import ConfigInvalid, DegenerateVariance
-from .returns import abs_power
 
 # rows go through the FFTs in cache-sized blocks of this many bytes
 _ROW_BLOCK_BYTES = 128 * 1024
@@ -81,6 +84,7 @@ class _Deletions:
         self.starts, ends = bounds[:-1], bounds[1:]
         self.lens = ends - self.starts
         self.m = n - self.lens
+        self.local = threading.local()
         # row b masks out block b
         self.other = ~np.eye(n_blocks, dtype=bool)
         self.lags, _ = _check_lags(int(self.m.min()), lags)
@@ -107,50 +111,60 @@ class _Deletions:
         self.straddle_at = (np.arange(n_blocks)[:, None] * nj
                             + (wide - np.sign(wide) * self.lens[:, None]) % nj)
 
-        # full-series indices of the first and last R points of each
-        # reduced series (its positions from s_b on lie past block b)
+        # indices of the first and last R points of the full series (end
+        # row 0) and of each reduced series that deletes points from them
+        near = (self.starts < reach) | (ends > n - reach)
+        self.end_row = np.cumsum(near) * near
+        at = np.append(n, self.starts[near])[:, None]
+        width = np.append(0, self.lens[near])[:, None]
         self.head_idx, self.tail_idx = (
-            pos + np.where(pos >= self.starts[:, None], self.lens[:, None], 0)
-            for pos in (edge, self.m[:, None] - 1 - edge))
+            pos + np.where(pos >= at, width, 0)
+            for pos in (edge, n - width - 1 - edge))
 
     def moments(self, v):
         """Moments of every reduced series of v, built from per-block ones.
 
-        Returns v shifted by its full-series mean with a 0 appended, the
-        full-series population sigma, the reduced sums, means and
-        population sigmas (B,), and the sums of the first and of the last
-        i points of each reduced series (B, max|lag| + 1).
+        Returns v less its full-series mean with a 0 appended (this
+        thread's buffer until its next call), the full-series population
+        sigma, the reduced sums, means and population sigmas (B,), and in
+        column R + i (R - i) the sum of each end row's last (first) i points.
         """
         lo = np.minimum.reduceat(v, self.starts)
         hi = np.maximum.reduceat(v, self.starts)
-        if np.any(np.where(self.other, hi, -np.inf).max(axis=1)
-                  == np.where(self.other, lo, np.inf).min(axis=1)):
+        # all blocks but b span the overall range, bar the next extreme
+        hi_out, lo_out = np.full((2, len(hi)), [[hi.max()], [lo.min()]])
+        hi_out[hi.argmax()], lo_out[lo.argmin()] = (np.partition(hi, -2)[-2],
+                                                    np.partition(lo, 1)[1])
+        if np.any(hi_out == lo_out):
             raise DegenerateVariance("series is constant")
 
-        shifted = np.zeros(len(v) + 1)
+        shifted = self.scratch("shifted", len(v) + 1)
         v = np.subtract(v, v.mean(), out=shifted[:-1])
+        sq = np.multiply(v, v, out=self.scratch("sq", len(v)))
         # the global moment of `_centered`, which the CC values use
-        sd = math.sqrt(float(np.mean(v * v)))
+        sd = math.sqrt(float(np.mean(sq)))
         s = np.add.reduceat(v, self.starts)
         mu_k = s / self.lens
-        dev = np.repeat(mu_k, self.lens)
-        np.subtract(v, dev, out=dev)
-        dev *= dev
-        m2 = np.add.reduceat(dev, self.starts)
-        # cumsum adds the blocks one at a time in series order; the
-        # deleted block contributes an exact 0
-        total = np.cumsum(np.where(self.other, s, 0.0), axis=1)[:, -1]
+        m2 = np.maximum(np.add.reduceat(sq, self.starts) - s * mu_k, 0.0)
+        # a column sum adds the rows, blocks, one at a time in series
+        # order; the deleted block contributes an exact 0
+        total = np.where(self.other, s[:, None], 0.0).sum(axis=0)
         mu = total / self.m
-        ss = np.cumsum(np.where(self.other,
-                                m2 + self.lens * (mu_k - mu[:, None]) ** 2,
-                                0.0), axis=1)[:, -1]
+        ss = np.where(self.other, m2[:, None] + self.lens[:, None]
+                      * (mu_k[:, None] - mu) ** 2, 0.0).sum(axis=0)
         if sd == 0.0 or np.any(ss == 0.0):
             raise DegenerateVariance("series has zero variance")
 
-        zero = np.zeros((len(self.starts), 1))
-        head = np.hstack((zero, np.cumsum(shifted[self.head_idx], axis=1)))
-        tail = np.hstack((zero, np.cumsum(shifted[self.tail_idx], axis=1)))
-        return shifted, sd, total, mu, np.sqrt(ss / self.m), head, tail
+        head = np.cumsum(shifted[self.head_idx], axis=1)
+        tail = np.cumsum(shifted[self.tail_idx], axis=1)
+        ends = np.hstack((head[:, ::-1], np.zeros((len(head), 1)), tail))
+        return shifted, sd, total, mu, np.sqrt(ss / self.m), ends
+
+    def scratch(self, name, shape):
+        """This thread's array `name`: fresh ones fault in every page."""
+        if not hasattr(self.local, name):
+            setattr(self.local, name, np.zeros(shape))
+        return getattr(self.local, name)
 
 
 def _row_blocks(n_rows, nfft):
@@ -159,24 +173,15 @@ def _row_blocks(n_rows, nfft):
     return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
 
 
-def _sigma_from_thetas(thetas):
-    nb = thetas.shape[0]
-    # shift by theta_0 before centering so identical estimates give an
-    # exact zero instead of mean-rounding dust
-    dev = thetas - thetas[0]
-    dev -= dev.mean(axis=0)
-    return np.sqrt((nb - 1) / nb * np.sum(dev * dev, axis=0))
-
-
 def _sweep(r, ds, lags, cfg, workers=1):
     """CC_d(j) and its jackknife sigma, each (len(ds), len(lags)), per d in ds."""
-    x = np.asarray(r.values, dtype=np.float64)
-    cfg.validate_for(len(x))
-    dl = _Deletions(len(x), cfg.n_blocks, lags)
-    cut, fwd = np.abs(dl.lags), dl.lags > 0
-    full_pairs = len(x) - cut
+    series = np.asarray(r.values, dtype=np.float64)
+    cfg.validate_for(len(series))
+    dl = _Deletions(len(series), cfg.n_blocks, lags)
+    full_pairs = len(series) - np.abs(dl.lags)
 
-    x, sdx, tx, mx, sx, xhead, xtail = dl.moments(x)
+    # x is read only here, before a power on this thread reuses its buffer
+    x, sdx, tx, mx, sx, xends = dl.moments(series)
     nb, nj, reach = dl.block_nfft, dl.junction_nfft, dl.reach
     x_block = np.empty((len(dl.lens), nb // 2 + 1), complex)
     for rows in dl.block_rows:
@@ -188,16 +193,22 @@ def _sweep(r, ds, lags, cfg, workers=1):
     xa[:, nj - reach:] = x[dl.before_idx]
     xb[:, reach:2 * reach] = x[dl.after_idx]
     xa, xb = np.conj(np.fft.rfft(xa)), np.conj(np.fft.rfft(xb))
-    # the pairs at lag j leave out the last (j > 0) or first |j| returns
-    sum_x = tx[:, None] - np.where(fwd, xtail[:, cut], xhead[:, cut])
+    # the pairs at lag j leave out the last (j > 0) or first |j| returns;
+    # with the powers' means, these centre each reduced series' lag sums
+    x_centre = (tx[:, None] - xends[:, reach + dl.lags][dl.end_row]
+                - dl.pairs * mx[:, None])
+    x_scale = 1.0 / (dl.pairs * sx[:, None])
     block_cols, junction_cols = dl.lags % nb, dl.lags % nj
 
     def one(d):
-        y, sdy, ty, my, sy, yhead, ytail = dl.moments(abs_power(r, d).values)
+        # |r|^d goes into the zero-padded buffer and is centred in place
+        y = np.abs(series, out=dl.scratch("shifted", len(x))[:-1])
+        y **= d
+        y, sdy, ty, my, sy, yends = dl.moments(y)
         # acc[b] starts as P_b; junction[p] is J(s_p) (0 at both ends),
         # splice[b] Sp_b and straddle[b] X_b (0 for the end blocks)
-        acc, splice = np.empty((2, len(dl.lens), len(dl.lags)))
-        junction = np.empty((len(dl.lens) + 1, len(dl.lags)))
+        acc, splice = dl.scratch("sums", (2, len(dl.lens), len(dl.lags)))
+        junction = dl.scratch("junction", (len(dl.lens) + 1, len(dl.lags)))
         straddle = np.empty(dl.straddle.shape)
         junction[[0, -1]] = splice[[0, -1]] = straddle[[0, -1]] = 0.0
         for rows in dl.block_rows:
@@ -230,14 +241,18 @@ def _sweep(r, ds, lags, cfg, workers=1):
         acc += np.subtract(junction[:-1], splice, out=splice)
         cov = np.subtract(full, acc, out=acc)
         cov[:, dl.wide] += straddle
-        # centre each reduced series' lag sums on its own means
-        sum_y = ty[:, None] - np.where(fwd, yhead[:, cut], ytail[:, cut])
-        cov -= my[:, None] * sum_x
-        cov -= mx[:, None] * sum_y
-        cov += dl.pairs * (mx * my)[:, None]
-        cov /= dl.pairs
-        cov /= (sx * sy)[:, None]
-        return full / full_pairs / (sdx * sdy), _sigma_from_thetas(cov)
+        cov -= my[:, None] * x_centre
+        cov -= mx[:, None] * (ty[:, None]
+                              - yends[:, reach - dl.lags][dl.end_row])
+        cov *= x_scale
+        cov /= sy[:, None]
+        # the jackknife variance of the thetas; shifting them by theta_0
+        # first gives identical estimates an exact 0, not rounding dust
+        cov -= cov[0].copy()
+        cov -= cov.mean(axis=0)
+        cov *= cov
+        return full / full_pairs / (sdx * sdy), np.sqrt(
+            (len(cov) - 1) / len(cov) * cov.sum(axis=0))
 
     if workers > 1 and len(ds) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .crosscorr import CorrelationProfile
-from .errors import MissingSigmas
+from .errors import MalformedProfile, MissingSigmas
 from .fitting import (GAMMA_BRACKET, PARAM_NAMES, TAU_SPAN_BRACKET,
                       THETA_TOL)
 
@@ -35,7 +35,7 @@ def _r(x):
 
 
 def emit_profile_csv(profile, path, filter_sigma=None):
-    """Write one profile as `d,lag,cc,sigma,pairs` rows.
+    """Write one profile as `d,lag,cc,sigma,pairs` rows; returns the bytes.
 
     filter_sigma = s drops rows with |cc| <= s * sigma (plot-filter
     semantics; the header always remains). Requires jackknife sigmas.
@@ -53,34 +53,29 @@ def emit_profile_csv(profile, path, filter_sigma=None):
                keep.tolist())
     lines = [PROFILE_HEADER]
     lines += [f"{d},{j},{cc!r},{s!r},{n}" for j, cc, s, n, k in rows if k]
-    Path(path).write_text("\n".join(lines) + "\n")
+    return _write(path, "\n".join(lines) + "\n")
+
+
+def _write(path, text):
+    """Write `text` to `path`; returns the bytes written."""
+    Path(path).write_bytes(data := text.encode())
+    return data
 
 
 def read_profile_csv(path):
     """Read profiles written by `emit_profile_csv`; one per distinct d."""
-    groups = {}
-    order = []
+    groups = {}  # d -> rows, in the order the d values first appear
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if header != PROFILE_HEADER:
-            raise ValueError(f"unexpected profile header {header!r}")
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
+            raise MalformedProfile(f"unexpected profile header {header!r}")
+        for line in filter(None, (line.rstrip("\n") for line in fh)):
             ds, lag, cc, sig, pairs = line.split(",")
-            d = float(ds)
-            if d not in groups:
-                groups[d] = ([], [], [], [])
-                order.append(d)
-            g = groups[d]
-            g[0].append(int(lag))
-            g[1].append(float(cc))
-            g[2].append(float(sig))
-            g[3].append(int(pairs))
+            groups.setdefault(float(ds), []).append(
+                (int(lag), float(cc), float(sig), int(pairs)))
     profiles = []
-    for d in order:
-        lags, ccs, sigs, pairs = groups[d]
+    for d, rows in groups.items():
+        lags, ccs, sigs, pairs = zip(*rows)
         profiles.append(CorrelationProfile(
             d, np.array(lags, dtype=np.int64), np.array(ccs),
             np.array(pairs, dtype=np.int64), sigmas=np.array(sigs)))
@@ -88,21 +83,19 @@ def read_profile_csv(path):
 
 
 def emit_gamma_kappa_table(power_fits, path):
-    """Write the per-d power-law fit table.
+    """Write the per-d power-law fit table; returns the bytes written.
 
     `power_fits` maps d to the power-law FitResult, or None where the
     fit failed. kappa is the fitted cross-correlation strength at lag 1.
     """
     lines = [GAMMA_KAPPA_HEADER]
-    for d in sorted(power_fits):
-        fit = power_fits[d]
+    for d, fit in sorted(power_fits.items()):
         if fit is None:
             continue
-        kappa, gamma = fit.params
-        kerr, gerr = fit.param_errors
+        (kappa, gamma), (kerr, gerr) = fit.params, fit.param_errors
         lines.append(f"{_r(d)},{_r(gamma)},{_r(gerr)},{_r(kappa)},{_r(kerr)},"
                      f"{_r(fit.reduced_chi2)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    return _write(path, "\n".join(lines) + "\n")
 
 
 def format_value_error(value, err, err_digits=2):
@@ -237,38 +230,28 @@ def write_report(report, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    profile_files = []
-    for prof in report.sweep.profiles:
-        name = f"profile_d{prof.d:g}.csv"
-        emit_profile_csv(prof, out / name)
-        profile_files.append(name)
+    names = [f"profile_d{prof.d:g}.csv" for prof in report.sweep.profiles]
+    written = {name: emit_profile_csv(prof, out / name)
+               for name, prof in zip(names, report.sweep.profiles)}
+    written["gamma_kappa.csv"] = emit_gamma_kappa_table(
+        report.power_fits, out / "gamma_kappa.csv")
 
-    emit_gamma_kappa_table(report.power_fits, out / "gamma_kappa.csv")
-
-    fits_doc = {"provenance": FIT_PROVENANCE, "fits": []}
-    for d in sorted(report.power_fits):
-        for fits in (report.power_fits, report.exp_fits):
-            fit = fits.get(d)
-            if fit is None:
-                continue
-            entry = fit_to_json(fit)
-            entry["d"] = float(d)
-            fits_doc["fits"].append(entry)
+    fits_doc = {"provenance": FIT_PROVENANCE, "fits": [
+        {**fit_to_json(fit), "d": float(d)} for d in sorted(report.power_fits)
+        for fit in (report.power_fits[d], report.exp_fits.get(d)) if fit]}
     if report.quadratic_fit is not None:
         fits_doc["quadratic_gamma"] = fit_to_json(report.quadratic_fit)
-    (out / "fits.json").write_text(_dumps(fits_doc, indent=1) + "\n")
+    for name, text in (("fits.json", _dumps(fits_doc, indent=1)),
+                       ("summary.txt", "\n".join(_summary_lines(report)))):
+        written[name] = _write(out / name, text + "\n")
 
-    summary = "\n".join(_summary_lines(report)) + "\n"
-    (out / "summary.txt").write_text(summary)
-
-    files = profile_files + ["gamma_kappa.csv", "fits.json", "summary.txt"]
     body = {
         "metadata": report.metadata,
         "argmax_kappa_d": report.argmax_kappa_d,
         "long_range": {f"{d:g}": v for d, v in report.long_range.items()},
-        "files": files,
-        "file_sha256": {name: hashlib.sha256((out / name).read_bytes())
-                        .hexdigest() for name in files},
+        "files": names + ["gamma_kappa.csv", "fits.json", "summary.txt"],
+        "file_sha256": {name: hashlib.sha256(data).hexdigest()
+                        for name, data in written.items()},
         "comparisons": {
             f"{d:g}": {"winner": c.winner, "chi2red": [c.chi2red_a, c.chi2red_b]}
             for d, c in sorted(report.comparisons.items())
@@ -281,6 +264,6 @@ def write_report(report, out_dir):
         "body_sha256": digest,
         "body": body,
     }
-    (out / "report.json").write_text(_dumps(doc, indent=1) + "\n")
+    _write(out / "report.json", _dumps(doc, indent=1) + "\n")
     return {"out_dir": str(out), "files": body["files"], "body_sha256": digest,
             "argmax_kappa_d": report.argmax_kappa_d}

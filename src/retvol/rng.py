@@ -29,6 +29,8 @@ across platforms).
 
 import numpy as np
 
+from .errors import ConfigInvalid
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -52,7 +54,7 @@ def splitmix64(seed, n, offset=0):
     numpy.ndarray of uint64, shape (n,)
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise ConfigInvalid("n must be >= 0")
     idx = np.arange(offset + 1, offset + n + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z = (np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * _GOLDEN) & _U64
@@ -75,7 +77,7 @@ def standard_normals(seed, n):
     the same array, and a longer request extends a shorter one.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise ConfigInvalid("n must be >= 0")
     pairs = (n + 1) // 2
     raw = splitmix64(seed, 2 * pairs)
     a = raw[0::2]

@@ -49,11 +49,13 @@ class PriceSeries:
 
 
 def check_delta_t(delta_t):
-    """delta_t as an int; ConfigInvalid unless it is >= 1 second."""
-    delta_t = int(delta_t)
-    if delta_t < 1:
-        raise ConfigInvalid("delta_t (--delta-t) must be >= 1 second")
-    return delta_t
+    """delta_t as an int; ConfigInvalid unless it is a number >= 1 second."""
+    try:
+        if int(delta_t) >= 1:
+            return int(delta_t)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigInvalid("delta_t (--delta-t) must be >= 1 second")
 
 
 def resample(ticks, delta_t):

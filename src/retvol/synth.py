@@ -110,10 +110,10 @@ def gen_profile_series(model, params, lags, sigma, seed=0, noise_scale=1.0):
     """
     x = np.asarray(lags, dtype=np.float64)
     if np.any(x <= 0):
-        raise ValueError("lags must be positive")
+        raise ConfigInvalid("lags must be positive")
     sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), x.shape).copy()
     if np.any(sig <= 0):
-        raise ValueError("sigma must be positive")
+        raise ConfigInvalid("sigma must be positive")
     if model == "power_law":
         kappa, gamma = params
         y = kappa * x ** (-gamma)
@@ -121,7 +121,7 @@ def gen_profile_series(model, params, lags, sigma, seed=0, noise_scale=1.0):
         alpha, tau = params
         y = alpha * np.exp(-x / tau)
     else:
-        raise ValueError(f"unknown profile model {model!r}")
+        raise ConfigInvalid(f"unknown profile model {model!r}")
     if noise_scale != 0.0:
         y = y + noise_scale * sig * rng.standard_normals(seed, len(x))
     return FitPoints(x, y, sig)

@@ -47,6 +47,16 @@ def test_power_law_flat_data():
     assert abs(fit.params[0] - 0.37) < 1e-8
 
 
+def test_power_law_at_x_not_above_0_is_a_typed_error():
+    # hand-built points: a profile only ever gives positive lags
+    x = np.array([0.0, 1.0, 2.0, 3.0])
+    points = FitPoints(x, np.full(4, 0.3), np.full(4, 0.01))
+    with pytest.raises(errors.NonPositiveX,
+                       match="power-law fit requires x > 0") as info:
+        fit_power_law(points, (0, 3))
+    assert isinstance(info.value, ValueError)
+
+
 def test_exponential_exact_recovery():
     fit = fit_exponential(exact_exp_points(), (1, 200))
     assert abs(fit.params[0] - 0.3) < 1e-8

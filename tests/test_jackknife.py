@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -73,6 +74,42 @@ def test_engine_matches_oracle(seed, n, blocks, d, lags):
     nr = normalized(seed, n)
     got = jackknife_sigma(nr, d, lags, JackknifeConfig(blocks))
     want = oracle_jackknife_sigma(nr.values, d, lags, blocks)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_blocks_near_either_end_keep_their_own_end_sums():
+    # blocks of 30 points against max|lag| 150: deleting any of the first
+    # or last five blocks changes the first or last 150 points of the
+    # reduced series, so those ten keep their own end sums
+    nr = normalized(94, 600)
+    lags = [-150, -149, -100, -31, -30, -29, -1, 0, 1, 29, 30, 31, 60,
+            149, 150]
+    dl = jackknife._Deletions(600, 20, lags)
+    assert dl.end_row.tolist() == [1, 2, 3, 4, 5] + [0] * 10 + [6, 7, 8, 9, 10]
+    assert dl.head_idx.shape == dl.tail_idx.shape == (11, 150)
+    got = jackknife_sigma(nr, 1.3, lags, JackknifeConfig(20))
+    want = oracle_jackknife_sigma(nr.values, 1.3, lags, 20)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_one_end_row_per_end_at_long_blocks():
+    dl = jackknife._Deletions(100_000, 100, np.arange(-200, 201))
+    assert np.flatnonzero(dl.end_row).tolist() == [0, 99]
+    dl = jackknife._Deletions(8125, 100, np.arange(-200, 201))
+    assert np.flatnonzero(dl.end_row).tolist() == [0, 1, 2, 97, 98, 99]
+
+
+@pytest.mark.parametrize("d", [0.5, 2.0])
+def test_constant_block_matches_oracle(d):
+    # a trade-free stretch carried forward: one whole block of zero
+    # returns and a few zeros elsewhere, so one block has zero variance
+    vals = standard_normals(95, 1000)
+    vals[300:400] = 0.0
+    vals[::37] = 0.0
+    nr = standardize(ReturnSeries(vals, 120, np.zeros(1000, dtype=bool)))
+    lags = [-40, -3, 0, 1, 2, 25, 99]
+    got = jackknife_sigma(nr, d, lags, JackknifeConfig(10))
+    want = oracle_jackknife_sigma(nr.values, d, lags, 10)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -158,6 +195,25 @@ def test_sweep_with_sigmas_computes_values_whatever_it_is_given():
         assert np.array_equal(b.values, a.values)
         assert np.array_equal(b.sigmas, a.sigmas)
         assert np.array_equal(a.pair_counts, g.pair_counts)
+
+
+def test_threads_keep_their_own_buffers():
+    # each thread reuses its own buffers from one power to the next; with
+    # more threads than cores and a switch every microsecond, one shared
+    # buffer would mix two powers' series
+    nr = normalized(96, 3000)
+    grid = [0.3 * k for k in range(1, 13)]
+    want = sweep_with_sigmas(nr, grid, -20, 20, JackknifeConfig(15))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = sweep_with_sigmas(nr, grid, -20, 20, JackknifeConfig(15),
+                                workers=6)
+    finally:
+        sys.setswitchinterval(interval)
+    for p, q in zip(want.profiles, got.profiles):
+        assert np.array_equal(p.values, q.values)
+        assert np.array_equal(p.sigmas, q.sigmas)
 
 
 @pytest.mark.parametrize("n,blocks,lag", [

@@ -171,6 +171,20 @@ def test_bad_setting_is_rejected_when_the_config_is_built(bad):
     assert isinstance(info.value, ValueError)
 
 
+@pytest.mark.parametrize("bad,flag", [
+    ({"delta_t": "abc"}, "--delta-t"), ({"delta_t": None}, "--delta-t"),
+    ({"d_grid": ["x"]}, "--d-grid"), ({"d_grid": [1.0, None]}, "--d-grid"),
+    ({"lag_min": None}, "--lags"), ({"lag_max": "5"}, "--lags")],
+    ids=["text_delta_t", "none_delta_t", "text_power", "none_power",
+         "none_lag_min", "text_lag_max"])
+def test_setting_that_is_not_a_number_is_a_typed_error(bad, flag):
+    # int(), float() and the lag comparison raised raw ValueError and
+    # TypeError before
+    with pytest.raises(ConfigInvalid, match=flag) as info:
+        small_cfg(**bad)
+    assert isinstance(info.value, ValueError)
+
+
 def spoil(column, row, value):
     def apply(ticks):
         col = getattr(ticks, column).copy()

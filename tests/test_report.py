@@ -43,6 +43,15 @@ def test_profile_csv_requires_sigmas(tmp_path):
         emit_profile_csv(prof, tmp_path / "x.csv")
 
 
+def test_bad_profile_header_is_a_typed_error(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("d,lag,cc\n1.0,1,0.5\n")
+    with pytest.raises(errors.MalformedProfile,
+                       match="unexpected profile header") as info:
+        read_profile_csv(path)
+    assert isinstance(info.value, ValueError)
+
+
 def test_filter_keeps_all_when_significant(tmp_path):
     prof = make_profile(3)
     prof.values = np.full(len(prof), 0.5)

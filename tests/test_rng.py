@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from retvol import rng
+from retvol.errors import ConfigInvalid
 
 
 def _splitmix64_reference(seed, n):
@@ -51,6 +53,13 @@ def test_normals_have_standard_moments():
     assert abs(z.std() - 1.0) < 5 / np.sqrt(n)
     # no repeats of the exact same float in a healthy continuous stream
     assert len(np.unique(z)) > 0.999 * n
+
+
+@pytest.mark.parametrize("draw", [rng.splitmix64, rng.standard_normals])
+def test_negative_count_is_a_typed_error(draw):
+    with pytest.raises(ConfigInvalid, match="n must be >= 0") as info:
+        draw(7, -1)
+    assert isinstance(info.value, ValueError)
 
 
 def test_uniforms_in_unit_interval():

@@ -32,6 +32,17 @@ def test_iid_mean_within_clt_bound():
     assert abs(r.values.mean()) < 5.0 / np.sqrt(10**6)
 
 
+@pytest.mark.parametrize("args,message", [
+    (("power_law", (0.2, 0.6), [0, 1, 2], 0.01), "lags must be positive"),
+    (("power_law", (0.2, 0.6), [1, 2], [0.01, 0.0]), "sigma must be positive"),
+    (("cubic", (0.2, 0.6), [1, 2], 0.01), "unknown profile model"),
+], ids=["zero_lag", "zero_sigma", "unknown_model"])
+def test_bad_profile_series_argument_is_a_typed_error(args, message):
+    with pytest.raises(errors.ConfigInvalid, match=message) as info:
+        gen_profile_series(*args)
+    assert isinstance(info.value, ValueError)
+
+
 def test_garch_spec_validation():
     with pytest.raises(errors.NonStationarySpec):
         GarchSpec(omega=0.05, a_arch=0.1, b_garch=0.9, leverage=0.1,
