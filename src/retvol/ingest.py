@@ -10,17 +10,19 @@ chunk's plain decimal lines: their non-digit bytes are `,,`, `,.,`,
 `,,.` or `,.,.` before the newline, the timestamp has 1 to 18 digits,
 and the price and volume have at most 24 bytes, 22 fraction digits and
 18 significant digits. That covers every positional `repr` of a double
-from 1e-4 to 1e16 and fixed-decimal exchange fields. Each value is the
-double `float()` gives (`_round_exact` holds the argument); a rounding
-it cannot prove, such as an exact tie, is declined. A fast line's only
-possible fault is a zero price, checked vectorized. In lenient mode,
-`_rejected` drops, also vectorized, the lines that fail whatever their
-digits: the wrong comma count, a letter other than e/E, a dot in the
-timestamp or a price starting with "-". Every other line (a sign, an
-exponent such as `1e-05`, spaces, more digits, a lone `\r` in a text
-stream, a non-ASCII byte) goes through `_parse_line`, which states the
-rules: each path gives a line the same record, skip or strict-mode
-error.
+from 1e-4 to 1e16 and fixed-decimal exchange fields. A field's digits
+are read eight at a time (SWAR) from a window as wide as the widest
+such field of its column in the chunk, where bit 4 tells digits from
+the dot. Each value is the double `float()` gives (`_round_exact` holds
+the argument); a rounding it cannot prove, such as an exact tie, is
+declined. A fast line's only possible fault is a zero price, checked
+vectorized. In lenient mode, `_rejected` drops, also vectorized, the
+lines that fail whatever their digits: the wrong comma count, a letter
+other than e/E, a dot in the timestamp or a price starting with "-".
+Every other line (a sign, an exponent such as `1e-05`, spaces, more
+digits, a lone `\r` in a text stream, a non-ASCII byte) goes through
+`_parse_line`, which states the rules: each path gives a line the same
+record, skip or strict-mode error.
 
 Files and byte streams are read as ASCII (a non-ASCII byte becomes
 U+FFFD) with universal newlines; text streams end lines at "\n" and
@@ -28,7 +30,8 @@ U+FFFD) with universal newlines; text streams end lines at "\n" and
 (stable, so trades that share a timestamp keep file order).
 
 Duplicates can only share a timestamp, so `deduplicate` compares only
-the rows in runs of equal timestamps of a sorted series.
+the rows in runs of equal timestamps of a sorted series: runs of two
+pairwise, longer ones by sorting their rows.
 """
 
 import gzip
@@ -56,17 +59,18 @@ _RECORD = np.dtype([("t", np.int64), ("p", np.float64), ("v", np.float64)])
 _INT64 = np.iinfo(np.int64)
 _NEWLINE, _DOT, _COMMA, _MINUS = b"\n.,-"
 # fast fields: a timestamp of at most 18 digits fits an int64; a price
-# or volume is read as one 24-byte window with at most 22 fraction
-# digits, as 10**22 is the largest power of ten exact in a double
+# or volume has at most 24 bytes (three words) and 22 fraction digits,
+# as 10**22 is the largest power of ten exact in a double
 _FAST_DIGITS, _WINDOW, _MAX_FRACTION = 18, 24, 22
 # the non-digit bytes of a fast line through its newline, little-endian
 _PATTERNS = [int.from_bytes(p, "little")
              for p in (b",,\n", b",.,\n", b",,.\n", b",.,.\n")]
 _BYTE_MASKS = np.array([2**(8 * k) - 1 for k in range(9)], dtype=np.uint64)
-# row z: a window's three words masked to the digits after byte z
-_WINDOW_MASKS = np.array(
-    [[(0x0F0F0F0F0F0F0F0F << 8 * min(max(z - 8 * j, 0), 8)) & (2**64 - 1)
-      for j in range(3)] for z in range(_WINDOW + 1)], dtype=np.uint64)
+# row r, column k: bit 0 of each byte of a k-byte field that lies in
+# the r-th word from the end of its window (a word's last bytes)
+_FIELD_BITS = (~_BYTE_MASKS[8 - np.clip(np.arange(_WINDOW + 1)
+                                        - 8 * np.arange(3)[:, None], 0, 8)]
+               & np.uint64(0x0101010101010101))
 # 10**k as uint64, capped at 10**19: field values are below 10**19
 _POW10 = np.array([10**min(k, 19) for k in range(_WINDOW)], dtype=np.uint64)
 _POW10F = 10.0 ** np.arange(_MAX_FRACTION + 1)
@@ -128,23 +132,27 @@ def _line_chunks(stream, text):
         block = stream.read(CHUNK_BYTES)
         if text:
             block = block.encode("utf-8", "surrogatepass")
-        data = tail + block
         held = b""
-        if not text and block and data.endswith(b"\r"):
+        if not text and block.endswith(b"\r"):
             # may be the first half of a \r\n that the next read completes
-            data, held = data[:-1], b"\r"
+            block, held = block[:-1], b"\r"
+        end = not (block or held)
+        # cut the block after its last line end, then copy once
+        cut = max(block.rfind(b"\n"), -1 if text else block.rfind(b"\r")) + 1
+        if not (cut or end):
+            tail += block + held
+            continue
+        data = b"".join((tail, memoryview(block)[:cut]))
+        tail = block[cut:] + held
         if b"\r" in data:
             data = data.replace(b"\r\n", b"\n")
             if not text:
                 data = data.replace(b"\r", b"\n")
-        if not block:
+        if end:
             if data:
                 yield data if data.endswith(b"\n") else data + b"\n"
             return
-        cut = data.rfind(b"\n") + 1
-        if cut:
-            yield data[:cut]
-        tail = data[cut:] + held
+        yield data
 
 
 def _split(x):
@@ -158,57 +166,62 @@ _P10_HI, _P10_LO = _split(_POW10F)
 
 
 def _fast_fields(a):
-    """Line bounds of a chunk, and field bounds of its fast lines.
+    """Line bounds of a chunk, and the fields of its fast lines.
 
-    Returns the start and newline of every line; then, for the m lines
-    within the fast limits, their line numbers, field ends and lengths
-    (3, m), and the fraction digits and dot counts of price and volume
-    (2, m). The non-digit bytes place every comma, dot and newline.
+    `a` is the chunk and then 8 zero bytes. Returns the start and newline
+    of every line, which lines are within the fast limits, and per line
+    the three (field end, length) pairs and the (fraction digits, dot)
+    pairs of price and volume, all 0 on a line that is not fast. The
+    non-digit bytes place every comma, dot and newline.
     """
-    nd = np.flatnonzero(a - np.uint8(ord("0")) > 9)
-    b = np.concatenate((a[nd], np.zeros(8, dtype=np.uint8)))
+    nd = np.subtract(a, np.uint8(ord("0")))
+    nd = np.flatnonzero(np.greater(nd, 9, out=nd.view(bool)))
+    b = a[nd]
     nl = np.flatnonzero(b == _NEWLINE)
     ends = nd[nl]
     starts = np.concatenate(([0], ends[:-1] + 1))
     first = np.concatenate(([0], nl[:-1] + 1))
-    count = nl - first
     # a line's non-digit bytes through its newline as one word
     words = np.ndarray((len(b) - 7,), dtype="<u8", buffer=b, strides=(1,))
-    key = words[first] & _BYTE_MASKS[np.minimum(count + 1, 8)]
-    i = np.flatnonzero((key == _PATTERNS[0]) | (key == _PATTERNS[1])
-                       | (key == _PATTERNS[2]) | (key == _PATTERNS[3]))
-    k = first[i]
-    dot_p = b[k + 1] == _DOT
-    dot_v = count[i] - 2 - dot_p
-    c1, c2, e = nd[k], nd[k + 1 + dot_p], ends[i]
-    lt, lp, lv = c1 - starts[i], c2 - c1 - 1, e - c2 - 1
-    fp = np.where(dot_p, c2 - nd[k + 1], 1) - 1
-    fv = np.where(dot_v, e - nd[k + 2 + dot_p], 1) - 1
-    ok = ((lt >= 1) & (lt <= _FAST_DIGITS) & (lp > dot_p) & (lp <= _WINDOW)
-          & (lv > dot_v) & (lv <= _WINDOW) & (fp <= _MAX_FRACTION)
-          & (fv <= _MAX_FRACTION))
-    return (starts, ends, i[ok], np.stack((c1[ok], c2[ok], e[ok])),
-            np.stack((lt[ok], lp[ok], lv[ok])), np.stack((fp[ok], fv[ok])),
-            np.stack((dot_p[ok], dot_v[ok])))
+    key = words[first] & _BYTE_MASKS[np.minimum(nl - first + 1, 8)]
+    dot_p, dot_v = b[first + 1] == _DOT, b[nl - 1] == _DOT
+    c1, c2 = nd[first], nd[first + 1 + dot_p]
+    lt, lp, lv = c1 - starts, c2 - c1 - 1, ends - c2 - 1
+    # nd[first + 1] is the price's dot, or its end when it has none
+    fp, fv = c2 - nd[first + 1] - dot_p, (ends - nd[nl - 1] - 1) * dot_v
+    fast = (((key == _PATTERNS[0]) | (key == _PATTERNS[1])
+             | (key == _PATTERNS[2]) | (key == _PATTERNS[3]))
+            & (lt >= 1) & (lt <= _FAST_DIGITS) & (lp > dot_p)
+            & (lp <= _WINDOW) & (lv > dot_v) & (lv <= _WINDOW)
+            & (fp <= _MAX_FRACTION) & (fv <= _MAX_FRACTION))
+    for x in (lt, lp, lv, fp, fv, dot_p, dot_v):
+        x *= fast
+    return (starts, ends, fast, ((c1, lt), (c2, lp), (ends, lv)),
+            ((fp, dot_p), (fv, dot_v)))
 
 
-def _field_digits(a, fend, flen):
+def _field_digits(buf, end, size):
     """The digits of each field as one integer, a dot read as a 0.
 
-    A field is the right-aligned 24-byte window ending at it: three
-    words whose bytes before the field are masked off, each turned into
-    its 8-digit value by SWAR arithmetic (eight digits per uint64 in
-    three multiply-shift-mask steps). Returns the values and those of
-    the first words; a value is valid (below 10**19) when its first
-    word is below 1000.
+    A field is the right-aligned window ending at `end` in `buf`, the
+    chunk after 24 bytes of padding, of as many 8-byte words as the
+    column's widest field needs. Of a fast line's bytes only the digits
+    have bit 4 set (not ",", "." or "\n"), so each byte keeps its low
+    nibble where that bit is set and it lies in the field, else becomes
+    0. SWAR arithmetic then turns each word into its 8-digit value
+    (three multiply-shift-mask steps). Returns the values, and which are
+    valid: below 10**19, as the first word is below 10**(27 - 8 words),
+    which binds only at three words.
     """
-    buf = np.zeros(len(a) + _WINDOW, dtype=np.uint8)
-    # ",", "." and "\n" all become "0"
-    np.maximum(a, ord("0"), out=buf[_WINDOW:])
-    windows = np.ndarray((len(a) + 1,), dtype=f"V{_WINDOW}", buffer=buf,
-                         strides=(1,))
-    x = windows[fend].view("<u8").reshape(*fend.shape, 3)
-    x &= np.take(_WINDOW_MASKS, _WINDOW - flen, axis=0)
+    words = max(-(-int(size.max()) // 8), 1)
+    windows = np.ndarray((len(buf) - _WINDOW + 1,), dtype=f"V{8 * words}",
+                         buffer=buf, offset=_WINDOW - 8 * words, strides=(1,))
+    x = windows[end].view("<u8").reshape(-1, words)
+    keep = x >> np.uint64(4)
+    for j in range(words):
+        keep[:, j] &= _FIELD_BITS[words - 1 - j][size]
+    keep *= np.uint64(0x0F)
+    x &= keep
     x *= np.uint64(10 * 256 + 1)
     x >>= np.uint64(8)
     x &= np.uint64(0x00FF00FF00FF00FF)
@@ -217,10 +230,10 @@ def _field_digits(a, fend, flen):
     x &= np.uint64(0x0000FFFF0000FFFF)
     x *= np.uint64(10_000 * 2**32 + 1)
     x >>= np.uint64(32)
-    top = x[..., 0]
-    value = (top * np.uint64(10**16) + x[..., 1] * np.uint64(10**8)
-             + x[..., 2])
-    return value, top
+    value = x[:, 0]
+    for j in range(1, words):
+        value = value * np.uint64(10**8) + x[:, j]
+    return value, x[:, 0] < 10 ** (27 - 8 * words)
 
 
 def _round_exact(m, f):
@@ -296,34 +309,30 @@ def _scan_chunk(chunk, strict):
     line that `_rejected` names; strict mode leaves every line before
     that zero price to `_parse_line`.
     """
-    a = np.frombuffer(chunk, dtype=np.uint8)
-    starts, ends, lines, fend, flen, frac, dot = _fast_fields(a)
-    value, top = _field_digits(a, fend, flen)
-    # drop the dot's 0 digit, at 10**frac; no dot, no change
-    high, low = np.divmod(value[1:], _POW10[frac + dot])
-    m = high * _POW10[frac] + low
-    p_v, exact = (x.reshape(2, -1)
-                  for x in _round_exact(m.ravel(), frac.ravel()))
-    fast = (exact & (top[1:] < 1000)).all(axis=0)
-    idx = lines[fast]
-
-    n = len(ends)
-    t, p, v = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
-    t[idx], p[idx], v[idx] = value[0, fast], p_v[0, fast], p_v[1, fast]
-    keep = np.zeros(n, dtype=bool)
-    keep[idx] = True
-    slow = np.flatnonzero(~keep)
+    buf = np.frombuffer(b"".join((bytes(_WINDOW), chunk, bytes(8))),
+                        dtype=np.uint8)
+    starts, ends, fast, fields, fractions = _fast_fields(buf[_WINDOW:])
+    # a timestamp of at most 18 digits is always valid
+    (t, _), *digits = [_field_digits(buf, *field) for field in fields]
+    del buf, fields     # free before the rounding's temporaries
+    cols = [t.view(np.int64)]
+    for (value, valid), (f, dot) in zip(digits, fractions):
+        # drop the dot's 0 digit, at 10**f; no dot, no change
+        high, low = np.divmod(value, _POW10[f + dot])
+        x, exact = _round_exact(high * _POW10[f] + low, f)
+        fast &= valid & exact
+        cols.append(x)
     # a fast line has no sign, exponent or nan: only a zero price is bad
-    bad = p[idx] == 0
-    keep[idx[bad]] = False
-
-    first_bad = int(idx[np.argmax(bad)]) if strict and bad.any() else n
+    zero = fast & (cols[1] == 0)
+    first_bad = int(np.argmax(zero)) if strict and zero.any() else len(ends)
+    slow = np.flatnonzero(~fast)
     if strict:
         slow = slow[slow < first_bad]
     elif len(slow):
+        a = np.frombuffer(chunk, dtype=np.uint8)
         slow = slow[~_rejected(a, starts[slow], ends[slow])]
     rows = np.stack((slow, starts[slow], ends[slow]))
-    return (t, p, v), keep, rows, first_bad
+    return cols, fast ^ zero, rows, first_bad
 
 
 def _finish_chunk(chunk, scan, codec, strict, line_no):
@@ -467,30 +476,32 @@ def deduplicate(ticks):
     The first occurrence survives; distinct trades at the same
     timestamp are all retained in their original order. Only rows in a
     run of equal timestamps can be duplicates, so on sorted input only
-    those rows are compared.
+    those rows are compared: a run of two directly, longer runs (and
+    unsorted input) by sorting their rows.
     """
-    t = ticks.timestamps
-    step = np.diff(t)
-    if (step < 0).any():
-        candidates = np.arange(len(t))
+    t, p, v = ticks.timestamps, ticks.prices, ticks.volumes
+    if (t[1:] < t[:-1]).any():
+        keep = np.ones(len(t), dtype=bool)
+        rows = np.arange(len(t))
     else:
-        tie = step == 0
+        # tie[i]: rows i - 1 and i share a timestamp
+        tie = np.zeros(len(t) + 1, dtype=bool)
+        np.equal(t[1:], t[:-1], out=tie[1:-1])
         if not tie.any():
             return ticks
-        in_run = np.zeros(len(t), dtype=bool)
-        in_run[1:] = tie
-        in_run[:-1] |= tie
-        candidates = np.flatnonzero(in_run)
-    rows = np.empty(len(candidates), dtype=_RECORD)
-    rows["t"] = t[candidates]
-    rows["p"] = ticks.prices[candidates]
-    rows["v"] = ticks.volumes[candidates]
-    _, first_idx = np.unique(rows, return_index=True)
-    dropped = np.ones(len(candidates), dtype=bool)
-    dropped[first_idx] = False
-    keep = np.ones(len(t), dtype=bool)
-    keep[candidates[dropped]] = False
-    return TickSeries(t[keep], ticks.prices[keep], ticks.volumes[keep],
+        # a run of two rows is a duplicate iff p and v compare equal (NaN
+        # never does, 0.0 == -0.0, as in np.unique); its second row goes
+        pair = tie[1:-1] & ~tie[:-2] & ~tie[2:]
+        keep = np.ones(len(t), dtype=bool)
+        keep[1:] = ~(pair & (p[1:] == p[:-1]) & (v[1:] == v[:-1]))
+        tie[1:-1] &= ~pair
+        rows = np.flatnonzero(tie[:-1] | tie[1:])
+    rec = np.empty(len(rows), dtype=_RECORD)
+    rec["t"], rec["p"], rec["v"] = t[rows], p[rows], v[rows]
+    _, first_idx = np.unique(rec, return_index=True)
+    keep[rows] = False
+    keep[rows[first_idx]] = True
+    return TickSeries(t[keep], p[keep], v[keep],
                       source_label=ticks.source_label,
                       n_skipped=ticks.n_skipped)
 

@@ -13,6 +13,7 @@ from retvol import ingest
 from retvol.errors import EmptyInput, RetvolError, UnreadableInput
 from retvol.ingest import (TickSeries, deduplicate, parse_tick_csv,
                            read_tick_file, serialize_tick_csv)
+from retvol.synth import GarchSpec, gen_asym_garch, ticks_from_returns
 
 
 def outcome(parse, make_stream, strictness):
@@ -246,6 +247,37 @@ def test_dedup_unsorted_input_matches_oracle():
     dedup_matches_oracle(ticks)
 
 
+def test_dedup_run_boundaries_match_oracle():
+    # runs of two are decided by comparing p and v, longer runs by a sort
+    nan = np.nan
+    rows = [(1, 1.0, 1.0), (1, 1.0, 1.0),                   # pair at start
+            (2, 2.0, 1.0), (2, 2.0, 1.0),                   # pair, then
+            (3, 1.0, 1.0), (3, 2.0, 1.0), (3, 1.0, 1.0),    # A-B-A triple
+            (4, 5.0, 1.0), (4, 5.0, 1.0),                   # pair between
+            (5, 3.0, 2.0), (5, 3.0, 2.0), (5, 3.0, 2.0),    # two triples
+            (6, 1.0, nan), (6, 1.0, nan),                   # NaN never equal
+            (7, 1.0, 0.0), (7, 1.0, -0.0),                  # 0.0 == -0.0
+            (8, 1.0, -0.0), (8, 1.0, 0.0),
+            (9, 1.0, 2.0), (9, 4.0, 2.0),                   # equal volumes
+            (10, nan, 1.0), (10, nan, 1.0),
+            (11, 1.0, 1.0), (12, 1.0, 1.0),
+            (13, 1.0, 1.0), (13, 1.0, 1.0)]                 # pair at end
+    t, p, v = (np.array(col) for col in zip(*rows))
+    out = dedup_matches_oracle(TickSeries(t.astype(np.int64), p, v))
+    assert len(out) == len(rows) - 9
+    assert np.signbit(out.volumes[out.timestamps >= 7][:2]).tolist() == [
+        False, True]
+    # a series of pairs only, and the rows above out of order
+    rng = np.random.default_rng(2)
+    n = 4000
+    dedup_matches_oracle(TickSeries(
+        np.repeat(np.arange(n // 2, dtype=np.int64), 2),
+        rng.choice([1.0, 2.0, nan], n), rng.choice([0.5, 0.0, -0.0], n)))
+    order = rng.permutation(len(rows))
+    dedup_matches_oracle(TickSeries(t[order].astype(np.int64), p[order],
+                                    v[order]))
+
+
 def test_dense_loadtxt_rejects_match_oracle(monkeypatch):
     # every 50th line is declined by the fast reader, in every chunk
     monkeypatch.setattr(ingest, "CHUNK_BYTES", 1 << 12)
@@ -339,6 +371,43 @@ def test_ties_and_powers_of_two_match_oracle(monkeypatch):
 def test_zero_price_matches_oracle(monkeypatch, price):
     calls = count_per_line_calls(monkeypatch)
     assert_matches_oracle(f"10,1.5,1\n20,{price},1\n30,2.5,0\n".encode())
+    assert calls == []
+
+
+def decimal_field(rng, width, fraction):
+    """A `width`-byte nonzero decimal of at most 17 significant digits,
+    with `fraction` digits after a dot (no dot when None)."""
+    n = width - (fraction is not None)
+    sig = min(n, 17)
+    digits = "0" * (n - sig) + str(int(rng.integers(10**(sig - 1), 10**sig)))
+    if fraction is None:
+        return digits
+    return f"{digits[:n - fraction]}.{digits[n - fraction:]}"
+
+
+def test_window_widths_match_oracle(monkeypatch):
+    # windows are as wide as the widest field of the chunk; one line per
+    # chunk at CHUNK_BYTES 1 puts every width below in a chunk of its own,
+    # with dots on both sides of each 8-byte word edge of the window
+    rng = np.random.default_rng(14)
+    specs = [(w, f) for w in (1, 7, 8, 9, 16, 17, 24)
+             for f in (None, 7, 8, 15, 16) if f is None or f < w]
+    stamps = [decimal_field(rng, w, None) for w in (1, 8, 9, 16, 17, 18)]
+    lines = [f"{stamps[i % 6]},{decimal_field(rng, *p)},"
+             f"{decimal_field(rng, *v)}\n"
+             for i, (p, v) in enumerate((p, v) for p in specs for v in specs)]
+    calls = count_per_line_calls(monkeypatch)
+    for chunk in (1, 64, 4096):
+        monkeypatch.setattr(ingest, "CHUNK_BYTES", chunk)
+        assert_matches_oracle("".join(lines).encode("ascii"))
+    # one 24-byte field alone in a chunk of 8-byte fields
+    monkeypatch.setattr(ingest, "CHUNK_BYTES", 1 << 16)
+    for column in (1, 2):
+        fields = [[f"{1_420_000_000 + i}", decimal_field(rng, 8, 3),
+                   decimal_field(rng, 8, 6)] for i in range(1_000)]
+        fields[517][column] = decimal_field(rng, 24, 16)
+        assert_matches_oracle("".join(",".join(f) + "\n"
+                                      for f in fields).encode("ascii"))
     assert calls == []
 
 
@@ -602,3 +671,35 @@ def test_parse_memory_stays_bounded(monkeypatch, shuffle, bound_mib):
         tracemalloc.stop()
     assert len(ts) == n
     assert peak < bound_mib * 2**20
+
+
+def garch_chunk(n, seed):
+    """About 37 n bytes of serialized GARCH ticks with 2% bad lines."""
+    r = gen_asym_garch(GarchSpec(0.05, 0.05, 0.85, 0.10, n - 1, seed), 1)
+    r.values *= 5e-4
+    ticks = ticks_from_returns(r)
+    rng = np.random.default_rng(seed)
+    ticks.volumes = np.round(rng.exponential(1.0, n), 6)
+    buf = io.StringIO()
+    serialize_tick_csv(ticks, buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    bad = ["x,1,1\n", "10,-1.0,1\n", "10,1e999,1\n", "10,1\n"]
+    for i in rng.choice(n, n // 50, replace=False):
+        lines[i] = bad[i % 4]
+    return "".join(lines).encode("ascii")
+
+
+def test_scan_temporaries_stay_bounded():
+    # one 2 MB chunk's scan peaked at 10.2 MiB traced, and the bound
+    # allows 20% more; the scan with 24-byte windows for every field,
+    # (3, m, 3) window masks and stacked field arrays peaked at 18.8 MiB
+    chunk = garch_chunk(57_000, 5)
+    assert 2 * 2**20 < len(chunk) < 2.1 * 2**20
+    tracemalloc.start()
+    try:
+        scan = ingest._scan_chunk(chunk, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scan[1].sum() > 0.97 * 57_000
+    assert peak < 12.3 * 2**20
