@@ -12,10 +12,10 @@ theta = gamma or log(tau), g normalised to 1 at the smallest fitted x,
 and c = sum(w^2 g y) / sum(w^2 g^2) in closed form for each theta. That
 leaves chi^2 = sum ((y_i - f(x_i)) / sigma_i)^2 a function of theta
 alone; its minimum is the root of the analytic d chi^2 / d theta, found
-by Brent's method inside a fixed bracket. An optimum on an edge of the
-bracket (increasing data have tau = +infinity, for example) raises
-NoConvergence with the last iterate attached. The quadratic is solved in
-closed form by weighted normal equations.
+by Brent's method with Newton steps inside a fixed bracket. An optimum
+on an edge of the bracket (increasing data have tau = +infinity, for
+example) raises NoConvergence with the last iterate attached. The
+quadratic is solved in closed form by weighted normal equations.
 
 Parameter uncertainties follow the asymptotic-standard-error convention:
 the covariance is the inverse weighted normal matrix at the optimum
@@ -129,10 +129,12 @@ _EPS = np.finfo(float).eps
 
 def _zeroin(h, a, b, ha, hb, tol=THETA_TOL):
     """Root of h in [a, b] given h(a) < 0 < h(b), by Brent's method
-    (Brent 1973, ch. 4): inverse quadratic or secant steps that stay
-    inside the sign-change bracket, else bisection. The bracket keeps
-    h < 0 on its left, so the root found has h rising through 0.
+    (Brent 1973, ch. 4) with a Newton step, from the newest best point,
+    where it lands in the sign-change bracket; one within tolerance ends
+    the search. h returns, and ha and hb are, (h, h') pairs. The bracket
+    keeps h < 0 on its left, so the root found has h rising through 0.
     Returns (root, evaluations)."""
+    (ha, _), (hb, db) = ha, hb
     c, hc = a, ha
     d = e = b - a
     evals = 0
@@ -143,11 +145,16 @@ def _zeroin(h, a, b, ha, hb, tol=THETA_TOL):
         if abs(hc) < abs(hb):
             a, b, c = b, c, b
             ha, hb, hc = hb, hc, hb
+            db = 0.0  # no Newton step from an older point
         tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
         m = 0.5 * (c - b)
         if abs(m) <= tol1 or hb == 0.0:
             return b, evals
-        if abs(e) >= tol1 and abs(ha) > abs(hb):
+        if db and 0.0 < -hb / db / m < 1.0:
+            if abs(hb / db) <= tol1:
+                return b - hb / db, evals
+            e, d = d, -hb / db
+        elif abs(e) >= tol1 and abs(ha) > abs(hb):
             s = hb / ha
             if a == c:
                 p, q = 2.0 * m * s, 1.0 - s
@@ -166,89 +173,73 @@ def _zeroin(h, a, b, ha, hb, tol=THETA_TOL):
             d = e = m
         a, ha = b, hb
         b += d if abs(d) > tol1 else math.copysign(tol1, m)
-        hb = h(b)
+        hb, db = h(b)
         evals += 1
-
-
-def _covariance(jw, chi2, n, n_params, context):
-    dof = n - n_params
-    chi2red = chi2 / dof if dof > 0 else 0.0
-    a = jw.T @ jw
-    try:
-        cov = np.linalg.inv(a) * chi2red
-    except np.linalg.LinAlgError:
-        raise SingularNormalMatrix(f"{context}: singular normal matrix") from None
-    cov = 0.5 * (cov + cov.T)
-    if not np.all(np.diag(cov) >= 0.0):  # inverted in rounding noise
-        raise SingularNormalMatrix(f"{context}: normal matrix singular to "
-                                   "working precision")
-    return cov, chi2red
 
 
 def _fit_decay(model, points, fit_range):
     lo, hi = fit_range
     in_range = (points.x >= lo) & (points.x <= hi)
-    if int(in_range.sum()) < 3:
+    n_in = int(np.count_nonzero(in_range))
+    if n_in < 3:
         raise InsufficientPoints(
-            f"{int(in_range.sum())} points in range [{lo}, {hi}], need >= 3")
-    positive = in_range & (points.y > 0)
-    excluded = points.x[in_range & ~(points.y > 0)]
-    if int(positive.sum()) < 3:
-        raise NonPositiveData(excluded)
+            f"{n_in} points in range [{lo}, {hi}], need >= 3")
+    positive = points.y > 0
+    excluded = points.x[in_range & ~positive]
+    positive &= in_range
+    if n_in - len(excluded) < 3:
+        raise NonPositiveData(excluded.tolist())
 
     x = points.x[positive]
     y = points.y[positive]
-    sigma = points.sigma[positive]
+    w = 1.0 / points.sigma[positive]
     if model == POWER_LAW and np.any(x <= 0):
         raise NonPositiveX("power-law fit requires x > 0")
-    w = 1.0 / sigma
-    wy = w * y
 
-    # y = c * g(x; theta) with g = exp(-rate(theta) * u) and u = 0 at the
-    # smallest x, so g is 1 there whatever theta is
+    # y = c * g(x; theta) with g = exp(-rate u) and u = 0 at the smallest
+    # x, so g is 1 there whatever theta is; rate = theta or exp(-theta)
     x0 = float(x.min())
     if model == POWER_LAW:
         bracket, u = GAMMA_BRACKET, np.log(x) - math.log(x0)
-
-        def rate(theta):  # (rate, d rate / d theta)
-            return theta, 1.0
     else:
         u = x - x0
         span = float(u.max()) or 1.0  # x all equal: g is flat, edge ahead
         bracket = tuple(math.log(v * span) for v in TAU_SPAN_BRACKET)
-
-        def rate(theta):
-            s = math.exp(-theta)
-            return s, -s
-
-    def project(theta):
-        """(c, w g, weighted residual) at theta, with the best amplitude
-        c = sum(w^2 g y) / sum(w^2 g^2)."""
-        wg = w * np.exp(-rate(theta)[0] * u)
-        c = (wg @ wy) / (wg @ wg)
-        return c, wg, wy - c * wg
+    # with c = sum(w^2 g y) / sum(w^2 g^2) at its best for each theta,
+    # one product gives the sums of u^k w^2 y g and u^k w^2 g^2 (k = 0,
+    # 1, 2) that d chi^2 / d theta and its derivative need
+    n = len(x)
+    powers = u ** np.arange(3.0)[:, None]
+    sums = np.zeros((6, 2 * n))
+    sums[:3, :n], sums[3:, n:] = powers * (w * w * y), powers * (w * w)
+    exponent = np.concatenate((-u, -2.0 * u))
 
     def slope(theta):
-        """d chi^2 / d theta divided by 2c > 0 (variable projection)."""
-        _, wg, r = project(theta)
-        return rate(theta)[1] * ((u * wg) @ r)
+        """d chi^2 / d theta divided by 2c > 0, and its derivative."""
+        rate = theta if model == POWER_LAW else math.exp(-theta)
+        d_rate, dd_rate = (1.0, 0.0) if model == POWER_LAW else (-rate, rate)
+        a0, a1, a2, b0, b1, b2 = (sums @ np.exp(exponent * rate)).tolist()
+        c = a0 / b0
+        s = a1 - c * b1
+        ds = 2.0 * c * b2 - a2 + (a1 - 2.0 * c * b1) * b1 / b0
+        return d_rate * s, dd_rate * s + d_rate * d_rate * ds
 
-    h_lo, h_hi = slope(bracket[0]), slope(bracket[1])
-    if h_lo < 0.0 < h_hi:
-        theta, evals = _zeroin(slope, *bracket, h_lo, h_hi)
+    ends = slope(bracket[0]), slope(bracket[1])  # 2 evaluations
+    if ends[0][0] < 0.0 < ends[1][0]:
+        theta, evals = _zeroin(slope, *bracket, *ends)
     else:
-        theta, evals = bracket[0 if h_lo >= 0.0 else 1], 0
-    c, wg, r = project(theta)
-    chi2 = float(r @ r)
-    evals += 2
-    f = c * wg / w
+        theta, evals = bracket[0 if ends[0][0] >= 0.0 else 1], 0
     b = theta if model == POWER_LAW else math.exp(theta)
+    g = np.exp(u * -(theta if model == POWER_LAW else 1.0 / b))
+    wg, wy = w * g, w * y
+    c = (wg @ wy) / (wg @ wg)
+    chi2 = float((r := wy - c * wg) @ r)
     try:
         a = c * (x0 ** b if model == POWER_LAW else math.exp(x0 / b))
     except OverflowError:
         a = math.inf
     p = np.array([a, b])
-    last = {"params": p, "chi2": chi2, "iterations": evals}
+    last = {"params": p, "chi2": chi2, "iterations": evals + 2}
     if theta in bracket:
         raise NoConvergence(
             f"{model}: optimum on the edge of the search bracket "
@@ -256,16 +247,20 @@ def _fit_decay(model, points, fit_range):
     if not 0.0 < a < math.inf:
         raise NoConvergence(f"{model}: amplitude outside the float range",
                             last_result=last)
+    f = c * g
     dfdb = -f * np.log(x) if model == POWER_LAW else f * x / (b * b)
-    jw = np.column_stack((f / a, dfdb)) * w[:, None]
-    try:
-        cov, chi2red = _covariance(jw, chi2, len(x), 2, model)
-    except SingularNormalMatrix:
+    # the 2 x 2 normal matrix, inverted in closed form
+    j1, j2 = w * f / a, w * dfdb
+    n11, n12, n22 = float(j1 @ j1), float(j1 @ j2), float(j2 @ j2)
+    det = n11 * n22 - n12 * n12
+    if not det > 0.0:  # singular, or singular to working precision
         raise NoConvergence(f"{model}: normal matrix singular at the optimum",
-                            last_result=last) from None
-    return FitResult(model, p, np.sqrt(np.diag(cov)), cov, chi2red,
-                     (lo, hi), len(x), excluded_x=[float(v) for v in excluded],
-                     n_iterations=evals)
+                            last_result=last)
+    chi2red = chi2 / (n - 2)
+    cov = chi2red / det * np.array([[n22, -n12], [-n12, n11]])
+    return FitResult(model, p, np.sqrt(cov.diagonal()), cov, chi2red,
+                     (lo, hi), n, excluded_x=excluded.tolist(),
+                     n_iterations=evals + 2)
 
 
 def fit_power_law(points, fit_range=(1, 200)):
@@ -311,11 +306,16 @@ def fit_quadratic_gamma(points):
     b = dw.T @ yw
     try:
         p = np.linalg.solve(a, b)
+        cov = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         raise SingularNormalMatrix("quadratic normal equations singular") from None
     resid = yw - dw @ p
-    chi2 = float(resid @ resid)
-    cov, chi2red = _covariance(dw, chi2, n, 3, QUADRATIC)
+    chi2red = float(resid @ resid) / (n - 3) if n > 3 else 0.0
+    cov *= chi2red
+    cov = 0.5 * (cov + cov.T)
+    if not np.all(np.diag(cov) >= 0.0):  # inverted in rounding noise
+        raise SingularNormalMatrix("quadratic: normal matrix singular to "
+                                   "working precision")
     return FitResult(QUADRATIC, p, np.sqrt(np.diag(cov)), cov, chi2red,
                      (float(x.min()), float(x.max())), n)
 

@@ -21,12 +21,12 @@ deleting b leaves S - ((P_b + J(e_b)) + (J(s_b) - Sp_b)) + X_b, where
 J(s_0), J(e_{B-1}) and the end blocks' Sp and X are 0. Work per power
 grows as N + B * R instead of B * N. J(s_b) - Sp_b is exactly 0 when
 the R points after s_b equal those after e_b, so a series of identical
-blocks of at least max|lag| points gives sigma exactly 0. A block's
-centred sum of squares comes from its sums of v and v^2; the reduced
-moments add the other blocks' in series order, as in the pairwise
-update of Chan, Golub & LeVeque (1983). The lag sums are centred with
-sums over a reduced series' first and last R points, the full series'
-unless the deleted block lies within R of that end.
+blocks of at least max|lag| points gives sigma exactly 0. A reduced
+series' sums of v and v^2 are the full series' less the deleted
+block's, with v centred on the full-series mean, and its sum of squares
+about its own mean mu is sum v^2 - m mu^2. The lag sums are centred
+with sums over a reduced series' first and last R points, the full
+series' unless the deleted block lies within R of that end.
 
 The same pass yields CC_d(j) itself from S and the global moments.
 Powers are independent, so `workers` threads each take one power at a
@@ -85,15 +85,14 @@ class _Deletions:
         self.lens = ends - self.starts
         self.m = n - self.lens
         self.local = threading.local()
-        # row b masks out block b
-        self.other = ~np.eye(n_blocks, dtype=bool)
         self.lags, _ = _check_lags(int(self.m.min()), lags)
         self.pairs = self.m[:, None] - np.abs(self.lags)
         self.reach = reach = int(np.abs(self.lags).max(initial=0))
 
         cols = np.arange(int(self.lens.max()))
-        self.block_idx = np.where(cols < self.lens[:, None],
-                                  self.starts[:, None] + cols, n)
+        # blocks of one length are rows of a view of the series
+        self.block_idx = None if n % n_blocks == 0 else np.where(
+            cols < self.lens[:, None], self.starts[:, None] + cols, n)
         self.block_nfft = next_fast_len(len(cols) + reach)
         self.block_rows = _row_blocks(n_blocks, self.block_nfft)
         edge = np.arange(reach)
@@ -143,22 +142,22 @@ class _Deletions:
         sq = np.multiply(v, v, out=self.scratch("sq", len(v)))
         # the global moment of `_centered`, which the CC values use
         sd = math.sqrt(float(np.mean(sq)))
-        s = np.add.reduceat(v, self.starts)
-        mu_k = s / self.lens
-        m2 = np.maximum(np.add.reduceat(sq, self.starts) - s * mu_k, 0.0)
-        # a column sum adds the rows, blocks, one at a time in series
-        # order; the deleted block contributes an exact 0
-        total = np.where(self.other, s[:, None], 0.0).sum(axis=0)
+        total, squares = (a.sum() - a for a in (
+            np.add.reduceat(v, self.starts), np.add.reduceat(sq, self.starts)))
         mu = total / self.m
-        ss = np.where(self.other, m2[:, None] + self.lens[:, None]
-                      * (mu_k[:, None] - mu) ** 2, 0.0).sum(axis=0)
-        if sd == 0.0 or np.any(ss == 0.0):
+        ss = squares - total * mu
+        if sd == 0.0 or np.any(ss <= 0.0):
             raise DegenerateVariance("series has zero variance")
 
         head = np.cumsum(shifted[self.head_idx], axis=1)
         tail = np.cumsum(shifted[self.tail_idx], axis=1)
         ends = np.hstack((head[:, ::-1], np.zeros((len(head), 1)), tail))
         return shifted, sd, total, mu, np.sqrt(ss / self.m), ends
+
+    def blocks(self, v, rows):
+        """Block rows `rows` of v, a series with a 0 appended."""
+        return (v[:-1].reshape(len(self.lens), -1)[rows]
+                if self.block_idx is None else v[self.block_idx[rows]])
 
     def scratch(self, name, shape):
         """This thread's array `name`: fresh ones fault in every page."""
@@ -185,7 +184,7 @@ def _sweep(r, ds, lags, cfg, workers=1):
     nb, nj, reach = dl.block_nfft, dl.junction_nfft, dl.reach
     x_block = np.empty((len(dl.lens), nb // 2 + 1), complex)
     for rows in dl.block_rows:
-        x_block[rows] = np.conj(np.fft.rfft(x[dl.block_idx[rows]], nb))
+        x_block[rows] = np.conj(np.fft.rfft(dl.blocks(x, rows), nb))
     # y's junction points start at column 0 and x's sit at their offset
     # from y's first point (the R before a boundary wrap to the row's
     # end), so an output column is the lag of its pairs
@@ -199,6 +198,7 @@ def _sweep(r, ds, lags, cfg, workers=1):
                 - dl.pairs * mx[:, None])
     x_scale = 1.0 / (dl.pairs * sx[:, None])
     block_cols, junction_cols = dl.lags % nb, dl.lags % nj
+    near_end = np.flatnonzero(dl.end_row)
 
     def one(d):
         # |r|^d goes into the zero-padded buffer and is centred in place
@@ -212,7 +212,7 @@ def _sweep(r, ds, lags, cfg, workers=1):
         straddle = np.empty(dl.straddle.shape)
         junction[[0, -1]] = splice[[0, -1]] = straddle[[0, -1]] = 0.0
         for rows in dl.block_rows:
-            spec = np.fft.rfft(y[dl.block_idx[rows]], nb)
+            spec = np.fft.rfft(dl.blocks(y, rows), nb)
             spec *= x_block[rows]
             acc[rows] = np.fft.irfft(spec, nb)[:, block_cols]
         for rows in dl.junction_rows:
@@ -241,18 +241,21 @@ def _sweep(r, ds, lags, cfg, workers=1):
         acc += np.subtract(junction[:-1], splice, out=splice)
         cov = np.subtract(full, acc, out=acc)
         cov[:, dl.wide] += straddle
-        cov -= my[:, None] * x_centre
-        cov -= mx[:, None] * (ty[:, None]
-                              - yends[:, reach - dl.lags][dl.end_row])
+        # the centring terms, each row's end sums from its end row
+        ye = yends[:, reach - dl.lags]
+        term = np.multiply(mx[:, None], ye[0], out=splice)
+        term[near_end] = mx[near_end, None] * ye[dl.end_row[near_end]]
+        term -= (mx * ty)[:, None]
+        cov += term
+        cov -= np.multiply(x_centre, my[:, None], out=splice)
         cov *= x_scale
-        cov /= sy[:, None]
+        cov *= (1.0 / sy)[:, None]
         # the jackknife variance of the thetas; shifting them by theta_0
         # first gives identical estimates an exact 0, not rounding dust
         cov -= cov[0].copy()
         cov -= cov.mean(axis=0)
-        cov *= cov
         return full / full_pairs / (sdx * sdy), np.sqrt(
-            (len(cov) - 1) / len(cov) * cov.sum(axis=0))
+            (len(cov) - 1) / len(cov) * np.einsum("ij,ij->j", cov, cov))
 
     if workers > 1 and len(ds) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -10,8 +10,8 @@ from .crosscorr import check_sweep_grid, power_grid, sweep_powers
 from .errors import (ConfigInvalid, InsufficientPoints, InvalidTicks,
                      LagOutOfRange, NoConvergence, NonPositiveData,
                      NonPositiveSigma, RetvolError)
-from .fitting import (FitPoints, compare_models, fit_exponential,
-                      fit_points_from_profile, fit_power_law,
+from .fitting import (EXPONENTIAL, POWER_LAW, FitPoints, compare_models,
+                      fit_exponential, fit_points_from_profile, fit_power_law,
                       fit_quadratic_gamma, long_range_flag)
 from .ingest import deduplicate, read_tick_file
 from .jackknife import JackknifeConfig, sweep_with_sigmas
@@ -76,6 +76,13 @@ CONVENTIONS = {
 }
 
 
+def _failure(d, model, exc):
+    """A failed fit's record: class, message, evaluations spent."""
+    last = getattr(exc, "last_result", None) or {}
+    return {"d": float(d), "model": model, "error": type(exc).__name__,
+            "message": str(exc), "evaluations": int(last.get("iterations", 0))}
+
+
 def _check_ticks(ticks):
     """InvalidTicks unless the columns have equal lengths, the timestamps
     never decrease and every price is finite and > 0. A parsed file
@@ -117,22 +124,24 @@ def analyze_ticks(ticks, cfg=AnalysisConfig()):
         sweep_powers(r, cfg.d_grid, cfg.lag_min, cfg.lag_max)
         raise
 
-    power_fits, exp_fits, comparisons, long_range = {}, {}, {}, {}
+    power_fits, exp_fits, comparisons, long_range, failed = {}, {}, {}, {}, []
     for prof in sweep.profiles:
         d = prof.d
         try:
             points = fit_points_from_profile(prof, cfg.fit_lo, cfg.fit_hi,
                                              sigma_filter=cfg.fit_filter)
             pf = fit_power_law(points, (cfg.fit_lo, cfg.fit_hi))
-        except _FIT_FAILURES:
+        except _FIT_FAILURES as exc:
             power_fits[d] = None
+            failed.append(_failure(d, POWER_LAW, exc))
             continue
         power_fits[d] = pf
         long_range[d] = long_range_flag(pf)
         # a failed exponential fit drops only itself and the comparison
         try:
             ef = fit_exponential(points, (cfg.fit_lo, cfg.fit_hi))
-        except _FIT_FAILURES:
+        except _FIT_FAILURES as exc:
+            failed.append(_failure(d, EXPONENTIAL, exc))
             continue
         exp_fits[d] = ef
         comparisons[d] = compare_models(pf, ef)
@@ -184,7 +193,7 @@ def analyze_ticks(ticks, cfg=AnalysisConfig()):
 
     return AnalysisReport(metadata, sweep, power_fits, exp_fits, comparisons,
                           quadratic_fit=quad, argmax_kappa_d=argmax,
-                          long_range=long_range)
+                          long_range=long_range, failed_fits=failed)
 
 
 def run_analysis(input_path, cfg, out_dir):

@@ -2,13 +2,15 @@
 
 Machine outputs (profile CSVs, fit JSON, gamma/kappa table) print floats
 with shortest round-trip formatting so re-importing reproduces every
-value bit-exactly. The human summary table uses 10 significant digits
-plus parenthesized-error notation like 0.0184(13). Nothing in the data
-body depends on the wall clock: byte-identical inputs and configuration
-give byte-identical files. report.json's body holds the sha256 of
-every other file written, and report.json carries a hash of that body,
-so the hash covers every byte but the generation timestamp, which is
-kept outside the body.
+value bit-exactly; `_float_field` formats the CSVs' in one numpy pass,
+byte for byte as `repr`, which takes each value the pass does not
+prove. The human summary table uses 10 significant digits plus
+parenthesized-error notation like 0.0184(13). Nothing in the data body
+depends on the wall clock: byte-identical inputs and configuration give
+byte-identical files. report.json's body holds the sha256 of every
+other file written, and report.json carries a hash of that body, so
+the hash covers every byte but the generation timestamp, which is kept
+outside the body.
 """
 
 import hashlib
@@ -22,8 +24,9 @@ import numpy as np
 
 from .crosscorr import CorrelationProfile
 from .errors import MalformedProfile, MissingSigmas
-from .fitting import (GAMMA_BRACKET, PARAM_NAMES, TAU_SPAN_BRACKET,
-                      THETA_TOL)
+from .fitting import (EXPONENTIAL, GAMMA_BRACKET, PARAM_NAMES, POWER_LAW,
+                      TAU_SPAN_BRACKET, THETA_TOL)
+from .ingest import _P10_HI, _P10_LO, _POW10F, _split
 
 PROFILE_HEADER = "d,lag,cc,sigma,pairs"
 GAMMA_KAPPA_HEADER = "d,gamma,gamma_err,kappa,kappa_err,chi2red"
@@ -34,31 +37,131 @@ def _r(x):
     return repr(float(x))
 
 
+_U, _C = np.uint64, np.arange(24)
+# row 24 a + b: bytes a..b of a 24-byte field set, as three words
+_SPAN = ((_C[:, None, None] <= _C) & (_C <= _C[:, None])).reshape(
+    576, 24).astype(np.uint8).view(_U) * _U(255)
+_DOT = np.eye(24, dtype=np.uint8).view(_U) * _U(ord("."))
+
+
+def _float_field(x):
+    """`repr` of each float as a NUL-padded row of 24 bytes.
+
+    |x| 10**q = hi + lo exactly (TwoProduct), hi an integer in [1e16,
+    1e17); x rounds from hi + lo +- h there, h in [0.55, 11]. `repr`
+    prints, with a dot after its digit 23 - q, the n nearest hi + lo of
+    that interval's multiples of the largest power of ten (1, 10 or 100,
+    then unique). `repr` itself takes each value this does not prove: 0,
+    non-finite, |x| outside [1e-4, 1e16) (an exponent form), powers of
+    two (an uneven interval), log10 rounding leaving hi < 1e16, and ends
+    or candidate ties within 2**-40 of exact.
+    """
+    if len(x) > 4096:  # small temporaries reuse heap pages; fresh ones fault
+        return np.concatenate([_float_field(x[i:i + 4096])
+                               for i in range(0, len(x), 4096)])
+    a = np.abs(x := np.asarray(x, dtype=np.float64))
+    ok = (a >= 1e-4) & (a < 1e16) & (x.view(np.int64) & (1 << 52) - 1 != 0)
+    a[~ok] = 1.5
+    q = 16 - np.floor(np.log10(a)).astype(np.int64)
+    p, ph, pl = (np.take(t, q) for t in (_POW10F, _P10_HI, _P10_LO))
+    hi = a * p
+    ok &= hi >= 1e16
+    ah, al = _split(a)
+    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+    # half an ulp of a normal double: its exponent less 53
+    h = ((a.view(np.int64) & 0x7FF << 52) - (53 << 52)).view(np.float64) * p
+    below, above = lo - h, lo + h
+    hi = hi.astype(np.int64)
+    first = hi + np.floor(below).astype(np.int64) + 1
+    last = hi + np.ceil(above).astype(np.int64) - 1
+    r100 = last - last // 100 * 100
+    by100 = r100 <= last - first  # then by10 too
+    unit = 1 + 9 * (last - last // 10 * 10 <= last - first) + 90 * by100
+    r10 = hi - hi // 10 * 10
+    t = (r10 + lo) / unit
+    n = hi - r10 + np.rint(t).astype(np.int64) * unit
+    n += unit * ((n < first).view(np.int8) - (n > last).view(np.int8))
+    n = np.where(by100, last - r100, n).view(_U)
+    for v in (below, above, t - 0.5):
+        ok &= np.abs(v - np.rint(v)) >= 2.0**-40
+    del a, p, ph, pl, hi, ah, al, lo, h, below, above, first, last, t, v
+    # n's 24 digits as bytes 0-9, 8 to a word (multiply-shift lanes)
+    w = np.stack((n // _U(10**16), n // _U(10**8) % _U(10**8), n % _U(10**8)))
+    for div, width, magic, shift, mask in (
+            (10**4, 32, 109951163, 40, 2**32 - 1),
+            (100, 16, 5243, 19, 0x0000007F0000007F),
+            (10, 8, 103, 10, 0x000F000F000F000F)):
+        lane = w * _U(magic) >> _U(shift) & _U(mask)
+        w -= lane * _U(div)
+        w <<= _U(width)
+        w |= lane
+    # the last nonzero digit is the top byte of the last nonzero word
+    k = np.where(w[2] != 0, 2, w[1] != 0)
+    top = np.frexp(np.where(k == 2, w[2], np.where(k, w[1], w[0])) * 1.0)[1]
+    last = 8 * k + (top - 1) // 8
+    dot = 23 - q
+    first = np.minimum(8 - (n >= 10**16) - (n >= 10**17), dot)
+    w = np.bitwise_or(w.T, _U(0x3030303030303030), order="C")
+    # the integer part moves down a byte for the dot; the sign takes byte 0
+    r = w >> _U(8)
+    r.ravel()[:-1] |= w.ravel()[1:] << _U(56)
+    r &= np.take(_SPAN, 24 * first + dot - 25, axis=0, mode="clip")
+    w &= np.take(_SPAN, 24 * dot + np.maximum(last, dot + 1) + 24, axis=0,
+                 mode="clip")
+    w |= r | np.take(_DOT, dot, axis=0, mode="clip")
+    w[:, 0] |= (x < 0) * _U(ord("-"))
+    field = w.view(np.uint8)
+    field[~ok] = np.array([_r(v) for v in x[~ok]], "S24").view(
+        np.uint8).reshape(-1, 24)
+    return field
+
+
+def _csv(fields, keep=None):
+    """Lines of comma-separated NUL-padded fields, NULs removed."""
+    comma = np.full((len(fields[0]), 1), ord(","), dtype=np.uint8)
+    rows = np.concatenate([c for f in fields for c in (f, comma)], axis=1)
+    rows[:, -1] = ord("\n")
+    flat = (rows if keep is None else rows[keep]).ravel()
+    return flat[flat != 0].tobytes()
+
+
+def _profile_csvs(profiles, filter_sigma=None):
+    """`emit_profile_csv`'s bytes for each profile, formatted together."""
+    if any(prof.sigmas is None for prof in profiles):
+        raise MissingSigmas("attach jackknife sigmas before export")
+    lags, cc, sigma, pairs = map(np.concatenate, zip(*(
+        (p.lags, p.values, p.sigmas, p.pair_counts) for p in profiles)))
+    sizes, n = [len(prof) for prof in profiles], len(cc)
+    ds, floats = np.split(_float_field(np.concatenate((
+        [prof.d for prof in profiles], cc, sigma))), [len(profiles)])
+    # ints repeat from profile to profile: each distinct one gets `str`
+    uniq, at = np.unique(np.append(lags, pairs).astype(np.int64),
+                         return_inverse=True)
+    ints = np.array([str(i) for i in uniq.tolist()], dtype="S").view(np.uint8)
+    ints = np.take(ints.reshape(len(uniq), -1), at, axis=0)
+    keep = None if filter_sigma is None else np.abs(cc) > filter_sigma * sigma
+    text = _csv([np.repeat(ds[:, ds.any(axis=0)], sizes, axis=0), ints[:n],
+                 floats[:n], floats[n:], ints[n:]], keep)
+    # the offset of each line, then of each profile's first line
+    kept = np.cumsum(np.ones(n, dtype=int) if keep is None else keep)
+    lines = np.append(0, kept)[np.cumsum([0] + sizes)]
+    at = np.append(0, np.flatnonzero(np.frombuffer(text, np.uint8) == 10) + 1)
+    header = (PROFILE_HEADER + "\n").encode()
+    return [header + text[a:b] for a, b in zip(at[lines[:-1]], at[lines[1:]])]
+
+
 def emit_profile_csv(profile, path, filter_sigma=None):
     """Write one profile as `d,lag,cc,sigma,pairs` rows; returns the bytes.
 
     filter_sigma = s drops rows with |cc| <= s * sigma (plot-filter
     semantics; the header always remains). Requires jackknife sigmas.
     """
-    if profile.sigmas is None:
-        raise MissingSigmas("attach jackknife sigmas before export")
-    keep = np.ones(len(profile), dtype=bool)
-    if filter_sigma is not None:
-        keep = np.abs(profile.values) > filter_sigma * profile.sigmas
-    d = _r(profile.d)
-    rows = zip(np.asarray(profile.lags, dtype=np.int64).tolist(),
-               np.asarray(profile.values, dtype=np.float64).tolist(),
-               np.asarray(profile.sigmas, dtype=np.float64).tolist(),
-               np.asarray(profile.pair_counts, dtype=np.int64).tolist(),
-               keep.tolist())
-    lines = [PROFILE_HEADER]
-    lines += [f"{d},{j},{cc!r},{s!r},{n}" for j, cc, s, n, k in rows if k]
-    return _write(path, "\n".join(lines) + "\n")
+    return _write(path, _profile_csvs([profile], filter_sigma)[0])
 
 
-def _write(path, text):
-    """Write `text` to `path`; returns the bytes written."""
-    Path(path).write_bytes(data := text.encode())
+def _write(path, data):
+    """Write the bytes `data` to `path`; returns them."""
+    Path(path).write_bytes(data)
     return data
 
 
@@ -88,14 +191,13 @@ def emit_gamma_kappa_table(power_fits, path):
     `power_fits` maps d to the power-law FitResult, or None where the
     fit failed. kappa is the fitted cross-correlation strength at lag 1.
     """
-    lines = [GAMMA_KAPPA_HEADER]
-    for d, fit in sorted(power_fits.items()):
-        if fit is None:
-            continue
-        (kappa, gamma), (kerr, gerr) = fit.params, fit.param_errors
-        lines.append(f"{_r(d)},{_r(gamma)},{_r(gerr)},{_r(kappa)},{_r(kerr)},"
-                     f"{_r(fit.reduced_chi2)}")
-    return _write(path, "\n".join(lines) + "\n")
+    table = np.array([(d, fit.params[1], fit.param_errors[1], fit.params[0],
+                        fit.param_errors[0], fit.reduced_chi2)
+                       for d, fit in sorted(power_fits.items())
+                       if fit is not None], dtype=np.float64).reshape(-1, 6)
+    fields = _float_field(table.ravel()).reshape(-1, 6, 24)
+    return _write(path, (GAMMA_KAPPA_HEADER + "\n").encode()
+                  + _csv([fields[:, k] for k in range(6)]))
 
 
 def format_value_error(value, err, err_digits=2):
@@ -149,7 +251,7 @@ FIT_PROVENANCE = {
     "optimizer": "variable projection: y = c * g(x; theta), g = 1 at the "
                  "smallest fitted x, c = sum(w^2 g y) / sum(w^2 g^2) in "
                  "closed form; theta = gamma or log(tau) is the root of "
-                 "d chi2 / d theta found by Brent's method",
+                 "d chi2 / d theta found by Brent's method with Newton steps",
     "initial_guess": "none: theta is bracketed, an optimum on an edge "
                      "is a failed fit",
     "convergence": {"gamma_bracket": list(GAMMA_BRACKET),
@@ -173,6 +275,7 @@ class AnalysisReport:
     quadratic_fit: object = None
     argmax_kappa_d: float | None = None
     long_range: dict = field(default_factory=dict)
+    failed_fits: list = field(default_factory=list)  # pipeline._failure
 
 
 def _summary_lines(report):
@@ -188,10 +291,11 @@ def _summary_lines(report):
     lines += ["", "[power-law and exponential fits, positive lags]",
               "d      kappa            gamma            gamma+-err     "
               "chi2red(pow)     chi2red(exp)     winner       long_range"]
+    failed = {(f["d"], f["model"]): f["error"] for f in report.failed_fits}
     for d in sorted(report.power_fits):
         pf = report.power_fits[d]
         if pf is None:
-            lines.append(f"{d:<6g} fit unavailable")
+            lines.append(f"{d:<6g} fit unavailable ({failed.get((d, POWER_LAW), '-')})")
             continue
         ef = report.exp_fits.get(d)
         comp = report.comparisons.get(d)
@@ -199,7 +303,8 @@ def _summary_lines(report):
         kerr, gerr = pf.param_errors
         row = (f"{d:<6g} {_sci(kappa)} {_sci(gamma)} "
                f"{format_value_error(gamma, gerr):<14} {_sci(pf.reduced_chi2)}")
-        row += f" {_sci(ef.reduced_chi2)}" if ef is not None else " " + "-" * 15
+        row += (f" {_sci(ef.reduced_chi2)}" if ef is not None else
+                f" {failed.get((d, EXPONENTIAL), '-' * 15):<15}")
         row += f" {comp.winner or 'inconclusive':<12}" if comp is not None else " -"
         row += f" {report.long_range.get(d, '-')}"
         lines.append(row)
@@ -231,8 +336,8 @@ def write_report(report, out_dir):
     out.mkdir(parents=True, exist_ok=True)
 
     names = [f"profile_d{prof.d:g}.csv" for prof in report.sweep.profiles]
-    written = {name: emit_profile_csv(prof, out / name)
-               for name, prof in zip(names, report.sweep.profiles)}
+    written = {name: _write(out / name, data) for name, data in
+               zip(names, _profile_csvs(report.sweep.profiles))}
     written["gamma_kappa.csv"] = emit_gamma_kappa_table(
         report.power_fits, out / "gamma_kappa.csv")
 
@@ -241,9 +346,11 @@ def write_report(report, out_dir):
         for fit in (report.power_fits[d], report.exp_fits.get(d)) if fit]}
     if report.quadratic_fit is not None:
         fits_doc["quadratic_gamma"] = fit_to_json(report.quadratic_fit)
+    if report.failed_fits:
+        fits_doc["failed"] = report.failed_fits
     for name, text in (("fits.json", _dumps(fits_doc, indent=1)),
                        ("summary.txt", "\n".join(_summary_lines(report)))):
-        written[name] = _write(out / name, text + "\n")
+        written[name] = _write(out / name, (text + "\n").encode())
 
     body = {
         "metadata": report.metadata,
@@ -264,6 +371,6 @@ def write_report(report, out_dir):
         "body_sha256": digest,
         "body": body,
     }
-    _write(out / "report.json", _dumps(doc, indent=1) + "\n")
+    _write(out / "report.json", (_dumps(doc, indent=1) + "\n").encode())
     return {"out_dir": str(out), "files": body["files"], "body_sha256": digest,
             "argmax_kappa_d": report.argmax_kappa_d}

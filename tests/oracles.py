@@ -1,7 +1,9 @@
 """Independent brute-force references shared by the test modules.
 
 Everything here is deliberately written with plain Python loops and
-math.fsum, sharing no code with the library paths it checks.
+math.fsum, sharing no code with the library paths it checks. Two
+references are earlier library code kept as it was: the per-row
+profile CSV writer and the Brent-method decay fit.
 """
 
 import io
@@ -135,3 +137,143 @@ def oracle_deduplicate(timestamps, prices, volumes):
     rows["t"], rows["p"], rows["v"] = timestamps, prices, volumes
     _, first_idx = np.unique(rows, return_index=True)
     return np.sort(first_idx)
+
+
+def oracle_profile_csv(profile, filter_sigma=None):
+    """Profile CSV text, one f-string with `repr` floats per row."""
+    values, sigmas = np.asarray(profile.values), np.asarray(profile.sigmas)
+    keep = np.ones(len(values), dtype=bool)
+    if filter_sigma is not None:
+        keep = np.abs(values) > filter_sigma * sigmas
+    d = repr(float(profile.d))
+    lines = ["d,lag,cc,sigma,pairs"]
+    lines += [f"{d},{j},{cc!r},{s!r},{n}" for j, cc, s, n, k in zip(
+        np.asarray(profile.lags).tolist(), values.tolist(), sigmas.tolist(),
+        np.asarray(profile.pair_counts).tolist(), keep.tolist()) if k]
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_zeroin(h, a, b, ha, hb, tol):
+    """Root of h in [a, b] given h(a) < 0 < h(b), by Brent's method
+    (Brent 1973, ch. 4). Returns (root, evaluations)."""
+    eps = np.finfo(float).eps
+    c, hc = a, ha
+    d = e = b - a
+    evals = 0
+    while True:
+        if (hb > 0.0) == (hc > 0.0):
+            c, hc = a, ha
+            d = e = b - a
+        if abs(hc) < abs(hb):
+            a, b, c = b, c, b
+            ha, hb, hc = hb, hc, hb
+        tol1 = 2.0 * eps * abs(b) + 0.5 * tol
+        m = 0.5 * (c - b)
+        if abs(m) <= tol1 or hb == 0.0:
+            return b, evals
+        if abs(e) >= tol1 and abs(ha) > abs(hb):
+            s = hb / ha
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = ha / hc, hb / hc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, ha = b, hb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        hb = h(b)
+        evals += 1
+
+
+def oracle_decay_fit(model, points, fit_range):
+    """Variable-projection decay fit with Brent's method on d chi^2 /
+    d theta and a LAPACK-inverted normal matrix, under the library's
+    brackets, tolerance and failure rules. Returns (params, errors,
+    reduced chi^2) or raises the library's exception for the failure."""
+    from retvol.errors import (InsufficientPoints, NoConvergence,
+                               NonPositiveData, NonPositiveX)
+    from retvol.fitting import GAMMA_BRACKET, TAU_SPAN_BRACKET, THETA_TOL
+
+    lo, hi = fit_range
+    in_range = (points.x >= lo) & (points.x <= hi)
+    if int(in_range.sum()) < 3:
+        raise InsufficientPoints("too few points in range")
+    positive = in_range & (points.y > 0)
+    if int(positive.sum()) < 3:
+        raise NonPositiveData(points.x[in_range & ~(points.y > 0)])
+    x, y, sigma = points.x[positive], points.y[positive], points.sigma[positive]
+    if model == "power_law" and np.any(x <= 0):
+        raise NonPositiveX("power-law fit requires x > 0")
+    w = 1.0 / sigma
+    wy = w * y
+    x0 = float(x.min())
+    if model == "power_law":
+        bracket, u = GAMMA_BRACKET, np.log(x) - math.log(x0)
+
+        def rate(theta):
+            return theta, 1.0
+    else:
+        u = x - x0
+        span = float(u.max()) or 1.0
+        bracket = tuple(math.log(v * span) for v in TAU_SPAN_BRACKET)
+
+        def rate(theta):
+            s = math.exp(-theta)
+            return s, -s
+
+    def project(theta):
+        wg = w * np.exp(-rate(theta)[0] * u)
+        c = (wg @ wy) / (wg @ wg)
+        return c, wg, wy - c * wg
+
+    def slope(theta):
+        _, wg, r = project(theta)
+        return rate(theta)[1] * ((u * wg) @ r)
+
+    h_lo, h_hi = slope(bracket[0]), slope(bracket[1])
+    if h_lo < 0.0 < h_hi:
+        theta, _ = _oracle_zeroin(slope, *bracket, h_lo, h_hi, THETA_TOL)
+    else:
+        theta = bracket[0 if h_lo >= 0.0 else 1]
+    c, wg, r = project(theta)
+    chi2 = float(r @ r)
+    f = c * wg / w
+    b = theta if model == "power_law" else math.exp(theta)
+    try:
+        a = c * (x0 ** b if model == "power_law" else math.exp(x0 / b))
+    except OverflowError:
+        a = math.inf
+    if theta in bracket or not 0.0 < a < math.inf:
+        raise NoConvergence("optimum on a bracket edge or amplitude "
+                            "outside the float range")
+    dfdb = -f * np.log(x) if model == "power_law" else f * x / (b * b)
+    jw = np.column_stack((f / a, dfdb)) * w[:, None]
+    chi2red = chi2 / (len(x) - 2)
+    try:
+        cov = np.linalg.inv(jw.T @ jw) * chi2red
+    except np.linalg.LinAlgError:
+        raise NoConvergence("singular normal matrix") from None
+    cov = 0.5 * (cov + cov.T)
+    if not np.all(np.diag(cov) >= 0.0):
+        raise NoConvergence("normal matrix singular to working precision")
+    return np.array([a, b]), np.sqrt(np.diag(cov)), chi2red
+
+
+def oracle_gamma_kappa_csv(power_fits):
+    """gamma_kappa.csv text, one `repr` per float, per fitted d."""
+    lines = ["d,gamma,gamma_err,kappa,kappa_err,chi2red"]
+    for d, fit in sorted(power_fits.items()):
+        if fit is not None:
+            (kappa, gamma), (kerr, gerr) = fit.params, fit.param_errors
+            lines.append(",".join(repr(float(v)) for v in (
+                d, gamma, gerr, kappa, kerr, fit.reduced_chi2)))
+    return "\n".join(lines) + "\n"

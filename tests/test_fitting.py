@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import oracle_decay_chi2, oracle_fit, oracle_weighted_quadratic
+from oracles import (oracle_decay_chi2, oracle_decay_fit, oracle_fit,
+                     oracle_weighted_quadratic)
 from retvol import errors
 from retvol.crosscorr import CorrelationProfile, power_grid
 from retvol.fitting import (FitPoints, compare_models,
@@ -300,6 +301,48 @@ def test_decay_fits_reach_oracle_chi2_on_generated_profiles(model, params):
                                  seed=300 + seed, noise_scale=1.0)
         for fit_model in DECAY_FITS:
             assert_at_oracle_optimum(fit_model, pts, (1, 200))
+
+
+def assert_brent_outcome(pts, fit_range=(1, 200)):
+    """Each decay fit ends as the Brent-method reference does: with the
+    same exception class, or with parameters, errors and reduced chi^2
+    within 1e-10 relative."""
+    for model, fit in DECAY_FITS.items():
+        try:
+            want = oracle_decay_fit(model, pts, fit_range)
+        except errors.RetvolError as exc:
+            with pytest.raises(errors.RetvolError) as info:
+                fit(pts, fit_range)
+            assert info.type is type(exc), (model, info.value, exc)
+            continue
+        got = fit(pts, fit_range)
+        for ours, theirs in zip((got.params, got.param_errors,
+                                 got.reduced_chi2), want):
+            assert np.allclose(ours, theirs, rtol=1e-10, atol=0), model
+
+
+@pytest.mark.parametrize("workload", ["garch_returns", "ticks_gz_dirty"])
+def test_decay_fits_match_brent_reference_on_seeded_workloads(
+        seed3_reports, workload):
+    report = seed3_reports[workload]
+    for prof in report.sweep.profiles:
+        assert_brent_outcome(fit_points_from_profile(prof, 1, 200))
+    failed = [(f["d"], f["model"], f["error"]) for f in report.failed_fits]
+    # seed 3's dirty file: four exponential fits whose best tau lies on
+    # the edge of the bracket
+    assert failed == ([] if workload == "garch_returns" else [
+        (d, "exponential", "NoConvergence") for d in (0.1, 0.2, 0.3, 0.8)])
+
+
+@pytest.mark.parametrize("model,params", [
+    ("power_law", (0.5, 0.7)), ("power_law", (0.02, 1.4)),
+    ("exponential", (0.3, 50.0)), ("exponential", (0.05, 4.0))])
+def test_decay_fits_match_brent_reference_on_generated_profiles(model,
+                                                                params):
+    for seed in range(20):
+        assert_brent_outcome(gen_profile_series(
+            model, params, range(1, 201), 0.002, seed=300 + seed,
+            noise_scale=1.0))
 
 
 def test_exponential_fits_on_seed_2_end_by_converging(garch_points):

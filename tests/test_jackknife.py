@@ -145,6 +145,43 @@ def test_inexact_constant_leave_one_out_subseries():
         jackknife_sigma(nr, 1.5, [-3, 0, 2], JackknifeConfig(4))
 
 
+def _one_block_apart():
+    vals = np.ones(400)
+    vals[150:160] = np.linspace(2.0, 3.0, 10)
+    return vals
+
+
+@pytest.mark.parametrize("values,message", [
+    # a constant series
+    (np.full(400, 0.7), "series is constant"),
+    # +-c: the returns vary, but every |r|^d is c^d
+    (0.7 * (-1.0) ** np.arange(400), "series is constant"),
+    # constant outside one block, so deleting that block leaves a
+    # constant series
+    (_one_block_apart(), "series is constant"),
+    # two values whose squares about the mean underflow to 0
+    (1e-170 * (1.0 + np.arange(400) % 2), "series has zero variance"),
+])
+def test_degenerate_series_name_their_fault(values, message):
+    nr = NormalizedReturns(values, 0.0, 1.0)
+    for run in (lambda: jackknife_sigma(nr, 1.5, [-2, 0, 1], JackknifeConfig(4)),
+                lambda: sweep_with_sigmas(nr, [0.5, 2.0], -2, 2,
+                                          JackknifeConfig(4), workers=2)):
+        with pytest.raises(errors.DegenerateVariance) as info:
+            run()
+        assert str(info.value) == message
+
+
+def test_tiled_blocks_give_zero_sigma_at_every_power():
+    vals = np.tile(standard_normals(51, 40), 10)
+    sweep = sweep_with_sigmas(NormalizedReturns(vals, 0.0, 1.0),
+                              [0.3, 1.0, 2.5], -15, 15, JackknifeConfig(10),
+                              workers=2)
+    for prof in sweep.profiles:
+        assert np.all(prof.sigmas == 0.0)
+        assert np.all(np.isfinite(prof.values))
+
+
 @pytest.mark.parametrize("d", [0.0, -1.5, float("nan")])
 def test_bad_power_is_a_typed_error(d):
     nr = normalized(92, 400)

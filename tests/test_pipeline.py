@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,26 @@ def test_failed_exponential_fit_keeps_power_law(monkeypatch):
         assert d not in report.exp_fits and d not in report.comparisons
 
 
+def test_failed_fit_is_listed_with_its_reason(monkeypatch, tmp_path):
+    def no_convergence(points, fit_range):
+        raise NoConvergence("forced failure", last_result={"iterations": 7})
+
+    monkeypatch.setattr(pipeline, "fit_exponential", no_convergence)
+    write_report(analyze_ticks(garch_ticks(), small_cfg()), tmp_path)
+    doc = json.loads((tmp_path / "fits.json").read_text())
+    assert doc["failed"] == [
+        {"d": d, "model": "exponential", "error": "NoConvergence",
+         "message": "forced failure", "evaluations": 7} for d in (1.0, 2.0)]
+    assert [f["model"] for f in doc["fits"]] == ["power_law"] * 2
+    rows = (tmp_path / "summary.txt").read_text().splitlines()
+    assert sum("NoConvergence" in row for row in rows) == 2
+
+
+def test_report_without_failed_fits_has_no_failed_list(tmp_path):
+    write_report(analyze_ticks(garch_ticks(), small_cfg()), tmp_path)
+    assert "failed" not in json.loads((tmp_path / "fits.json").read_text())
+
+
 def test_exponential_fit_past_its_bracket_drops_only_itself(tmp_path):
     # iid returns, seed 9: -CC_1(j) rises over lags 2-4 (lag 1 is negative
     # and excluded), so the best tau is +infinity
@@ -111,6 +133,12 @@ def test_zero_jackknife_sigma_marks_d_unavailable(tmp_path):
     assert report.power_fits == {1.0: None, 2.0: None}
     assert report.quadratic_fit is None and report.argmax_kappa_d is None
     assert write_report(report, tmp_path)["argmax_kappa_d"] is None
+    failed = json.loads((tmp_path / "fits.json").read_text())["failed"]
+    assert [(f["d"], f["model"], f["error"], f["evaluations"])
+            for f in failed] == [(d, "power_law", "NonPositiveSigma", 0)
+                                 for d in (1.0, 2.0)]
+    assert (tmp_path / "summary.txt").read_text().count(
+        "fit unavailable (NonPositiveSigma)") == 2
 
 
 def returns_of(ticks, cfg):

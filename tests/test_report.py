@@ -1,13 +1,16 @@
 import copy
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import oracle_gamma_kappa_csv, oracle_profile_csv
 from retvol import errors
 from retvol.crosscorr import CorrelationProfile, power_grid
-from retvol.fitting import FitPoints, fit_power_law
+from retvol.fitting import FitPoints, FitResult, fit_power_law
 from retvol.pipeline import AnalysisConfig, analyze_ticks
 from retvol.report import (emit_gamma_kappa_table, emit_profile_csv,
                            fit_to_json, format_value_error, read_profile_csv,
@@ -203,3 +206,82 @@ def test_gjr_pipeline_kappa_curve_shape():
     assert np.all(np.diff(kappa[:peak + 1]) > 0)
     assert np.all(np.diff(kappa[peak:]) < 0)
     assert np.diff(kappa, 2)[-1] > 0
+
+
+def edge_floats():
+    """Where `repr` changes form or the shortest digits are hard to prove:
+    the ends of its positional range and their neighbours, powers of two,
+    ties and 17-digit values, zeros, subnormals and non-finite values."""
+    vals = [1e-4, 1e16, 0.1, 1 / 3, 2 / 3, 5e-324, 2.2250738585072014e-308,
+            0.0, np.inf, np.nan, 1.7976931348623157e308, 0.30000000000000004,
+            123456789012345.67, 9999999999999998.0, 1.2345678901234567,
+            0.00012345678901234567, 4.35, 2.675, 1e15 + 0.5, 9.5, 0.5e-4]
+    for v in (1e-4, 1e16, 1e-3, 1.0, 1e8):
+        vals += [np.nextafter(v, 0.0), np.nextafter(v, np.inf)]
+    vals += [2.0 ** k for k in range(-20, 60, 3)]
+    vals += [10.0 ** k for k in range(-6, 18)]
+    return np.array(vals + [-v for v in vals])
+
+
+def profile_of(values, sigmas, d=1.5):
+    lags = np.arange(len(values)) - len(values) // 2
+    return CorrelationProfile(d, lags, np.asarray(values, dtype=float),
+                              1000 - np.abs(lags),
+                              sigmas=np.asarray(sigmas, dtype=float))
+
+
+@pytest.mark.parametrize("workload", ["garch_returns", "ticks_gz_dirty"])
+@pytest.mark.parametrize("filter_sigma", [None, 1.5])
+def test_profile_csv_matches_per_row_oracle_on_seeded_workloads(
+        seed3_reports, workload, filter_sigma):
+    for prof in seed3_reports[workload].sweep.profiles:
+        assert (emit_profile_csv(prof, os.devnull, filter_sigma)
+                == oracle_profile_csv(prof, filter_sigma).encode())
+
+
+def test_report_files_match_per_row_oracles(seed3_reports, tmp_path):
+    # write_report formats every profile of a report in one pass
+    for workload, report in seed3_reports.items():
+        write_report(report, tmp_path / workload)
+        for prof in report.sweep.profiles:
+            path = tmp_path / workload / f"profile_d{prof.d:g}.csv"
+            assert path.read_bytes() == oracle_profile_csv(prof).encode()
+        assert ((tmp_path / workload / "gamma_kappa.csv").read_bytes()
+                == oracle_gamma_kappa_csv(report.power_fits).encode())
+
+
+def test_profile_csv_matches_repr_at_the_edges():
+    vals = edge_floats()
+    for d in (0.1, 1.0, 2.5):
+        prof = profile_of(vals, vals[::-1], d)
+        for filter_sigma in (None, 0.5, 1.0):
+            assert (emit_profile_csv(prof, os.devnull, filter_sigma)
+                    == oracle_profile_csv(prof, filter_sigma).encode())
+
+
+floats_of_any_bits = st.one_of(
+    st.integers(0, 2**64 - 1).map(
+        lambda b: float(np.array([b], dtype=np.uint64).view(np.float64)[0])),
+    st.floats(1e-5, 1e17), st.floats(-1e17, -1e-5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(floats_of_any_bits, floats_of_any_bits),
+                min_size=1, max_size=30),
+       st.sampled_from([None, 0.5, 1.0]))
+def test_profile_csv_matches_repr_on_any_bit_pattern(pairs, filter_sigma):
+    values, sigmas = zip(*pairs)
+    prof = profile_of(values, sigmas)
+    assert (emit_profile_csv(prof, os.devnull, filter_sigma)
+            == oracle_profile_csv(prof, filter_sigma).encode())
+
+
+def test_gamma_kappa_table_matches_per_row_oracle(tmp_path):
+    vals = edge_floats()
+    fits = {float(d): FitResult(
+        "power_law", vals[[i, i + 1]], vals[[i + 2, i + 3]], np.eye(2),
+        vals[i + 4], (1, 2), 3) for i, d in enumerate(vals[:-4])
+        if np.isfinite(d)}
+    fits[1e9] = None
+    assert (emit_gamma_kappa_table(fits, tmp_path / "gk.csv")
+            == oracle_gamma_kappa_csv(fits).encode())
