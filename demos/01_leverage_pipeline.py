@@ -24,7 +24,8 @@ returns = gen_asym_garch(spec)
 returns.values *= 0.002  # scale to crypto-like 2-min return magnitudes
 ticks = ticks_from_returns(returns, spacing=120, p0=280.0)
 print(f"synthesized {len(ticks)} ticks spanning "
-      f"{(ticks.timestamps[-1] - ticks.timestamps[0]) / 86400:.0f} days")
+      f"{(ticks.timestamps[-1] - ticks.timestamps[0]) / 86400:.0f} days "
+      f"(GARCH seed {spec.seed})")
 
 # --- 2. round-trip through the CSV wire format ------------------------
 workdir = Path(tempfile.mkdtemp(prefix="retvol_demo_"))
@@ -38,8 +39,7 @@ print(f"parsed back {len(ticks)} records, {ticks.n_skipped} skipped")
 # --- 3. analyze: 2-min grid, d grid, lags, jackknife, fits -------------
 cfg = AnalysisConfig(delta_t=120, d_grid=[0.5, 1.0, 1.5, 2.0, 2.5, 3.0],
                      lag_min=-100, lag_max=100, fit_lo=1, fit_hi=100,
-                     jk_blocks=50, workers=2,
-                     extra_metadata={"seeds": {"garch": spec.seed}})
+                     jk_blocks=50, workers=2)
 report = analyze_ticks(ticks, cfg)
 
 prof = report.sweep.profile_for(2.0)

@@ -22,9 +22,9 @@ from .jackknife import JackknifeConfig, jackknife_sigma, sweep_with_sigmas
 from .pipeline import AnalysisConfig, analyze_ticks, run_analysis
 from .report import (AnalysisReport, emit_gamma_kappa_table, emit_profile_csv,
                      format_value_error, read_profile_csv, write_report)
-from .returns import (NormalizedReturns, PoweredSeries, ReturnSeries,
-                      abs_power, apply_gap_policy, drop_gap_returns,
-                      log_returns, standardize)
+from .returns import (NormalizedReturns, ReturnSeries, abs_power,
+                      apply_gap_policy, drop_gap_returns, log_returns,
+                      standardize)
 from .sampling import PriceSeries, daily_close_series, resample
 from .synth import (GarchSpec, gen_asym_garch, gen_iid_gaussian,
                     gen_profile_series, ticks_from_returns)

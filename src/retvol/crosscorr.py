@@ -167,8 +167,8 @@ def cross_correlation(r, pw, j):
     Parameters
     ----------
     r : NormalizedReturns
-    pw : PoweredSeries
-        Powered absolute values of the same series.
+    pw : numpy.ndarray
+        Powered absolute values of the same series (`abs_power`).
     j : int
         Signed lag; positive j pairs r_t with |r_{t+j}|^d.
 
@@ -183,7 +183,7 @@ def cross_correlation(r, pw, j):
     DegenerateVariance
         Either series is constant.
     """
-    values, _ = _profile_values(r.values, pw.values, [int(j)])
+    values, _ = _profile_values(r.values, pw, [int(j)])
     return float(values[0])
 
 
@@ -217,5 +217,5 @@ def sweep_powers(r, d_grid, lag_min, lag_max):
     lags, pairs = _check_lags(len(r), np.arange(lag_min, lag_max + 1))
     return SweepResult(np.asarray(d_grid), [
         CorrelationProfile(d, lags, _profile_values(
-            r.values, abs_power(r, d).values, lags)[0], pairs)
+            r.values, abs_power(r, d), lags)[0], pairs)
         for d in d_grid])

@@ -102,15 +102,18 @@ class ModelComparison:
 def fit_points_from_profile(profile, lag_lo, lag_hi, sigma_filter=None):
     """Positive-lag fit input (j, -CC_d(j), sigma_jk) from a profile.
 
-    sigma_filter = s additionally drops points consistent with zero
-    within s sigmas, mirroring the plot filter; by default fits use
-    every positive-lag point in range.
+    sigma_filter = s additionally drops points with |cc| <= s * sigma,
+    those consistent with zero within s sigmas (s = 0 drops cc = 0 only,
+    whatever the sigma); by default fits use every positive-lag point in
+    range.
     """
     if profile.sigmas is None:
         raise MissingSigmas("profile has no jackknife sigmas")
     mask = (profile.lags >= lag_lo) & (profile.lags <= lag_hi) & (profile.lags > 0)
     if sigma_filter is not None:
-        mask &= np.abs(profile.values) > sigma_filter * profile.sigmas
+        # 0 * an infinite sigma would be NaN, which drops the point
+        bound = sigma_filter * profile.sigmas if sigma_filter else 0.0
+        mask &= np.abs(profile.values) > bound
     return FitPoints(profile.lags[mask].astype(np.float64),
                      -profile.values[mask], profile.sigmas[mask])
 
@@ -125,6 +128,23 @@ GAMMA_BRACKET = (-10.0, 10.0)
 TAU_SPAN_BRACKET = (2e-3, 1e4)
 THETA_TOL = 1e-12
 _EPS = np.finfo(float).eps
+
+# how the decay fits are made, as fits.json records it
+FIT_PROVENANCE = {
+    "objective": "weighted least squares, chi2 = sum(((y - f(x)) / sigma)^2)",
+    "optimizer": "variable projection: y = c * g(x; theta), g = 1 at the "
+                 "smallest fitted x, c = sum(w^2 g y) / sum(w^2 g^2) in "
+                 "closed form; theta = gamma or log(tau) is the root of "
+                 "d chi2 / d theta found by Brent's method with Newton steps",
+    "initial_guess": "none: theta is bracketed, an optimum on an edge "
+                     "is a failed fit",
+    "convergence": {"gamma_bracket": list(GAMMA_BRACKET),
+                    "tau_over_x_span_bracket": list(TAU_SPAN_BRACKET),
+                    "theta_abs_tol": THETA_TOL},
+    "error_convention": "asymptotic standard errors: covariance = "
+                        "inv(J'WJ) * reduced_chi2",
+    "nonpositive_y": "excluded from the chi2 sum and counted",
+}
 
 
 def _zeroin(h, a, b, ha, hb, tol=THETA_TOL):

@@ -44,7 +44,6 @@ class AnalysisConfig:
     jk_blocks: int = 100
     fit_filter: float | None = None
     workers: int = 1
-    extra_metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         check_delta_t(self.delta_t)
@@ -70,8 +69,8 @@ CONVENTIONS = {
     "cross_correlation": "global full-series moments (population convention); "
                          "lag-j average over N-|j| pairs; positive lag puts "
                          "the powered series in the future of the return",
-    "jackknife": "delete-one-block, contiguous equal blocks, full moment "
-                 "recomputation per deletion",
+    "jackknife": "delete-one-block, contiguous blocks of floor(N/B) or "
+                 "ceil(N/B) points, full moment recomputation per deletion",
     "fit_errors": "asymptotic standard errors (covariance scaled by reduced chi2)",
 }
 
@@ -181,7 +180,6 @@ def analyze_ticks(ticks, cfg=AnalysisConfig()):
         "fit_range": [cfg.fit_lo, cfg.fit_hi],
         "fit_filter_sigma": cfg.fit_filter,
         "jackknife_blocks": cfg.jk_blocks,
-        "seeds": {},
         "conventions": CONVENTIONS,
         "versions": {
             "retvol": __version__,
@@ -189,7 +187,6 @@ def analyze_ticks(ticks, cfg=AnalysisConfig()):
             "python": platform.python_version(),
         },
     }
-    metadata.update(cfg.extra_metadata)
 
     return AnalysisReport(metadata, sweep, power_fits, exp_fits, comparisons,
                           quadratic_fit=quad, argmax_kappa_d=argmax,

@@ -24,8 +24,7 @@ import numpy as np
 
 from .crosscorr import CorrelationProfile
 from .errors import MalformedProfile, MissingSigmas
-from .fitting import (EXPONENTIAL, GAMMA_BRACKET, PARAM_NAMES, POWER_LAW,
-                      TAU_SPAN_BRACKET, THETA_TOL)
+from .fitting import EXPONENTIAL, FIT_PROVENANCE, PARAM_NAMES, POWER_LAW
 from .ingest import _P10_HI, _P10_LO, _POW10F, _split
 
 PROFILE_HEADER = "d,lag,cc,sigma,pairs"
@@ -116,16 +115,16 @@ def _float_field(x):
     return field
 
 
-def _csv(fields, keep=None):
+def _csv(fields):
     """Lines of comma-separated NUL-padded fields, NULs removed."""
     comma = np.full((len(fields[0]), 1), ord(","), dtype=np.uint8)
     rows = np.concatenate([c for f in fields for c in (f, comma)], axis=1)
     rows[:, -1] = ord("\n")
-    flat = (rows if keep is None else rows[keep]).ravel()
+    flat = rows.ravel()
     return flat[flat != 0].tobytes()
 
 
-def _profile_csvs(profiles, filter_sigma=None):
+def _profile_csvs(profiles):
     """`emit_profile_csv`'s bytes for each profile, formatted together."""
     if any(prof.sigmas is None for prof in profiles):
         raise MissingSigmas("attach jackknife sigmas before export")
@@ -139,24 +138,19 @@ def _profile_csvs(profiles, filter_sigma=None):
                          return_inverse=True)
     ints = np.array([str(i) for i in uniq.tolist()], dtype="S").view(np.uint8)
     ints = np.take(ints.reshape(len(uniq), -1), at, axis=0)
-    keep = None if filter_sigma is None else np.abs(cc) > filter_sigma * sigma
     text = _csv([np.repeat(ds[:, ds.any(axis=0)], sizes, axis=0), ints[:n],
-                 floats[:n], floats[n:], ints[n:]], keep)
+                 floats[:n], floats[n:], ints[n:]])
     # the offset of each line, then of each profile's first line
-    kept = np.cumsum(np.ones(n, dtype=int) if keep is None else keep)
-    lines = np.append(0, kept)[np.cumsum([0] + sizes)]
+    lines = np.cumsum([0] + sizes)
     at = np.append(0, np.flatnonzero(np.frombuffer(text, np.uint8) == 10) + 1)
     header = (PROFILE_HEADER + "\n").encode()
     return [header + text[a:b] for a, b in zip(at[lines[:-1]], at[lines[1:]])]
 
 
-def emit_profile_csv(profile, path, filter_sigma=None):
+def emit_profile_csv(profile, path):
     """Write one profile as `d,lag,cc,sigma,pairs` rows; returns the bytes.
-
-    filter_sigma = s drops rows with |cc| <= s * sigma (plot-filter
-    semantics; the header always remains). Requires jackknife sigmas.
-    """
-    return _write(path, _profile_csvs([profile], filter_sigma)[0])
+    Requires jackknife sigmas."""
+    return _write(path, _profile_csvs([profile])[0])
 
 
 def _write(path, data):
@@ -200,9 +194,9 @@ def emit_gamma_kappa_table(power_fits, path):
                   + _csv([fields[:, k] for k in range(6)]))
 
 
-def format_value_error(value, err, err_digits=2):
-    """Parenthesized-error notation: format_value_error(0.0184, 0.0013)
-    gives '0.0184(13)'."""
+def format_value_error(value, err):
+    """Parenthesized-error notation with two error digits:
+    format_value_error(0.0184, 0.0013) gives '0.0184(13)'."""
     value = float(value)
     err = float(err)
     if not math.isfinite(value) or not math.isfinite(err):
@@ -210,9 +204,9 @@ def format_value_error(value, err, err_digits=2):
     if err <= 0:
         return f"{_r(value)}(0)"
     mag = math.floor(math.log10(err))
-    lsd = mag - (err_digits - 1)
+    lsd = mag - 1
     scaled = round(err / 10.0 ** lsd)
-    if scaled >= 10 ** err_digits:
+    if scaled >= 100:
         lsd += 1
         scaled = round(err / 10.0 ** lsd)
     if lsd <= 0:
@@ -244,23 +238,6 @@ def fit_to_json(fit):
         "n_points": int(fit.n_points),
         "excluded_points": fit.excluded_x,
     }
-
-
-FIT_PROVENANCE = {
-    "objective": "weighted least squares, chi2 = sum(((y - f(x)) / sigma)^2)",
-    "optimizer": "variable projection: y = c * g(x; theta), g = 1 at the "
-                 "smallest fitted x, c = sum(w^2 g y) / sum(w^2 g^2) in "
-                 "closed form; theta = gamma or log(tau) is the root of "
-                 "d chi2 / d theta found by Brent's method with Newton steps",
-    "initial_guess": "none: theta is bracketed, an optimum on an edge "
-                     "is a failed fit",
-    "convergence": {"gamma_bracket": list(GAMMA_BRACKET),
-                    "tau_over_x_span_bracket": list(TAU_SPAN_BRACKET),
-                    "theta_abs_tol": THETA_TOL},
-    "error_convention": "asymptotic standard errors: covariance = "
-                        "inv(J'WJ) * reduced_chi2",
-    "nonpositive_y": "excluded from the chi2 sum and counted",
-}
 
 
 @dataclass

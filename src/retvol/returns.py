@@ -39,17 +39,6 @@ class NormalizedReturns:
         return len(self.values)
 
 
-@dataclass
-class PoweredSeries:
-    """Elementwise |r|^d of a normalized return series."""
-
-    d: float
-    values: np.ndarray
-
-    def __len__(self):
-        return len(self.values)
-
-
 def log_returns(prices):
     """Logarithmic price differences of a PriceSeries.
 
@@ -103,11 +92,11 @@ def standardize(returns):
 
 
 def abs_power(r, d):
-    """Elementwise |r_i|^d for d > 0 (else ConfigInvalid); |0|^d is
-    exactly 0."""
+    """Elementwise |r_i|^d as a new numpy array, for d > 0 (else
+    ConfigInvalid); |0|^d is exactly 0."""
     if not d > 0:
         raise ConfigInvalid(f"power d must be > 0, got {d}")
     values = r.values if isinstance(r, NormalizedReturns) else np.asarray(r)
     powered = np.abs(values)
     powered **= float(d)
-    return PoweredSeries(float(d), powered)
+    return powered

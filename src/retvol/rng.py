@@ -64,11 +64,6 @@ def splitmix64(seed, n, offset=0):
     return z
 
 
-def uniforms(seed, n, offset=0):
-    """Uniform float64 samples in [0, 1) from the splitmix64 stream."""
-    return (splitmix64(seed, n, offset) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
 def standard_normals(seed, n):
     """Standard normal samples via Box-Muller on the splitmix64 stream.
 

@@ -127,8 +127,7 @@ def gen_profile_series(model, params, lags, sigma, seed=0, noise_scale=1.0):
     return FitPoints(x, y, sig)
 
 
-def ticks_from_returns(returns, t0=1420848000, spacing=None, p0=100.0,
-                       volume=1.0):
+def ticks_from_returns(returns, t0=1420848000, spacing=None, p0=100.0):
     """Turn a return series into an equally spaced tick series.
 
     One trade per grid step at price p0 * exp(cumsum(returns)), spaced
@@ -142,5 +141,4 @@ def ticks_from_returns(returns, t0=1420848000, spacing=None, p0=100.0,
     prices = p0 * np.exp(log_p)
     n = len(prices)
     times = t_start + spacing * np.arange(n, dtype=np.int64)
-    volumes = np.full(n, float(volume))
-    return TickSeries(times, prices, volumes, source_label="synthetic")
+    return TickSeries(times, prices, np.ones(n), source_label="synthetic")

