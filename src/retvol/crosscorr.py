@@ -10,16 +10,17 @@ correlation) and E averages the N - |j| overlapping pairs. Positive j
 means the powered series lies in the future of the return series;
 negative j pairs returns with past volatility.
 
-Each profile is evaluated by per-lag dot products or by one FFT
-cross-correlation (`numpy.fft`, 5-smooth lengths from `next_fast_len`),
-whichever the cost model expects to be cheaper; a single lag always
-takes the dot product. Both must agree with the brute-force definition,
-which is the normative reference (tests enforce 1e-10). A power sweep
+Every lag's sum is the dot product of its N - |j| centred pairs, so a
+profile equals its single-lag values bit for bit, and it must agree
+with the brute-force definition, the normative reference (tests
+enforce 1e-10). The jackknife engine (`sweep_with_sigmas`), which gives
+every reported value, takes its sums by FFT instead. A power sweep
 checks its grid and lags once (`check_sweep_grid`, `_check_lags`),
-whether here (`sweep_powers`) or in the jackknife (`sweep_with_sigmas`).
+whether here (`sweep_powers`) or in the jackknife.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,6 @@ class CorrelationProfile:
 class SweepResult:
     """One CorrelationProfile per d over a shared lag grid."""
 
-    d_grid: np.ndarray
     profiles: list
 
     def __iter__(self):
@@ -105,59 +105,17 @@ def _check_lags(n, lags):
     return lags, pairs
 
 
-def _lag_sums_direct(rc, pc, lags):
-    n = len(rc)
-    out = np.empty(len(lags))
-    for k, j in enumerate(lags):
-        j = int(j)
-        if j >= 0:
-            out[k] = np.dot(rc[:n - j], pc[j:])
-        else:
-            out[k] = np.dot(rc[-j:], pc[:n + j])
-    return out
-
-
-def next_fast_len(n):
-    """Smallest 5-smooth integer >= n >= 1.
-
-    These are the lengths at which pocketfft transforms real input
-    fastest. Each odd smooth number q below the next power of two is
-    lifted by the fewest doublings that reach n.
-    """
-    top = 1 << (n - 1).bit_length()
-    odd = [1]
-    for p in (3, 5):
-        more = []
-        for q in odd:
-            q *= p
-            while q < top:
-                more.append(q)
-                q *= p
-        odd += more
-    return min(q << ((n - 1) // q).bit_length() for q in odd)
-
-
 def _profile_values(rv, pv, lags):
     """CC values and pair counts over `lags` for raw arrays rv (returns)
-    and pv (powered).
-
-    Takes one FFT cross-correlation when 15 nfft log2(nfft) is below the
-    2 N len(lags) of per-lag dot products, so a single lag always takes
-    the dot product.
-    """
+    and pv (powered), each lag's sum a dot product of its pairs."""
     n = len(rv)
     lags, pairs = _check_lags(n, lags)
     rc, sig_r = _centered(rv)
     if len(pv) != n:
         raise LengthMismatch("series length mismatch")
     pc, sig_p = _centered(pv)
-    nfft = next_fast_len(n + int(np.max(np.abs(lags))) + 1)
-    if 15.0 * nfft * math.log2(nfft) < 2.0 * n * len(lags):
-        corr = np.fft.irfft(np.conj(np.fft.rfft(rc, nfft)) * np.fft.rfft(pc, nfft),
-                            nfft)
-        sums = corr[lags % nfft]
-    else:
-        sums = _lag_sums_direct(rc, pc, lags)
+    sums = np.array([np.dot(rc[:n - j], pc[j:]) if j >= 0
+                     else np.dot(rc[-j:], pc[:n + j]) for j in lags.tolist()])
     return sums / pairs / (sig_r * sig_p), pairs
 
 
@@ -182,6 +140,8 @@ def cross_correlation(r, pw, j):
         Fewer than 10 overlapping pairs at this lag.
     DegenerateVariance
         Either series is constant.
+    LengthMismatch
+        `pw` is not as long as `r`.
     """
     values, _ = _profile_values(r.values, pw, [int(j)])
     return float(values[0])
@@ -192,9 +152,17 @@ def correlation_profile(r, d, lag_min, lag_max):
     return sweep_powers(r, [d], lag_min, lag_max).profiles[0]
 
 
+def check_integers(name, *values):
+    """ConfigInvalid naming the setting `name` unless every value is a
+    Python or numpy int, so finite and whole."""
+    for v in values:
+        if not isinstance(v, numbers.Integral):
+            raise ConfigInvalid(f"{name} takes integers, got {v!r}")
+
+
 def check_sweep_grid(d_grid, lag_min, lag_max):
     """The d grid as floats; ConfigInvalid unless it is positive and strictly
-    increasing and the lag range straddles 0."""
+    increasing and the lag range is of integers and straddles 0."""
     try:
         d_grid = [float(d) for d in d_grid]
     except (TypeError, ValueError):
@@ -205,8 +173,8 @@ def check_sweep_grid(d_grid, lag_min, lag_max):
         raise ConfigInvalid("powers must be positive")
     if any(b <= a for a, b in zip(d_grid, d_grid[1:])):
         raise ConfigInvalid("d grid must be strictly increasing")
-    if not (all(isinstance(v, (int, float, np.number)) for v in (lag_min, lag_max))
-            and lag_min <= 0 <= lag_max):
+    check_integers("lag range (--lags LO:HI)", lag_min, lag_max)
+    if not lag_min <= 0 <= lag_max:
         raise ConfigInvalid("lag range (--lags LO:HI) must contain 0")
     return d_grid
 
@@ -215,7 +183,7 @@ def sweep_powers(r, d_grid, lag_min, lag_max):
     """One correlation profile per power d, over a shared lag grid."""
     d_grid = check_sweep_grid(d_grid, lag_min, lag_max)
     lags, pairs = _check_lags(len(r), np.arange(lag_min, lag_max + 1))
-    return SweepResult(np.asarray(d_grid), [
+    return SweepResult([
         CorrelationProfile(d, lags, _profile_values(
             r.values, abs_power(r, d), lags)[0], pairs)
         for d in d_grid])

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crosscorr import (CorrelationProfile, SweepResult, _check_lags,
-                        check_sweep_grid, next_fast_len)
+                        check_integers, check_sweep_grid)
 from .errors import ConfigInvalid, DegenerateVariance
 
 # rows go through the FFTs in cache-sized blocks of this many bytes
@@ -56,8 +56,9 @@ class JackknifeConfig:
     n_blocks: int = 100
 
     def __post_init__(self):
+        check_integers("jackknife blocks (--jk-blocks)", self.n_blocks)
         if self.n_blocks < 2:
-            raise ConfigInvalid("n_blocks must be >= 2")
+            raise ConfigInvalid("jackknife blocks (--jk-blocks) must be >= 2")
 
     def validate_for(self, n):
         if self.n_blocks > n // 20:
@@ -164,6 +165,26 @@ class _Deletions:
         if not hasattr(self.local, name):
             setattr(self.local, name, np.zeros(shape))
         return getattr(self.local, name)
+
+
+def next_fast_len(n):
+    """Smallest 5-smooth integer >= n >= 1.
+
+    These are the lengths at which pocketfft transforms real input
+    fastest. Each odd smooth number q below the next power of two is
+    lifted by the fewest doublings that reach n.
+    """
+    top = 1 << (n - 1).bit_length()
+    odd = [1]
+    for p in (3, 5):
+        more = []
+        for q in odd:
+            q *= p
+            while q < top:
+                more.append(q)
+                q *= p
+        odd += more
+    return min(q << ((n - 1) // q).bit_length() for q in odd)
 
 
 def _row_blocks(n_rows, nfft):
@@ -307,6 +328,6 @@ def sweep_with_sigmas(r, d_grid, lag_min, lag_max, cfg=JackknifeConfig(),
     ds = check_sweep_grid(d_grid, lag_min, lag_max)
     lags, pairs = _check_lags(len(r), np.arange(lag_min, lag_max + 1))
     values, sigmas = _sweep(r, ds, lags, cfg, workers)
-    return SweepResult(np.asarray(ds), [
+    return SweepResult([
         CorrelationProfile(d, lags, v, pairs, sigmas=s)
         for d, v, s in zip(ds, values, sigmas)])

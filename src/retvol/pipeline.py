@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .crosscorr import check_sweep_grid, power_grid, sweep_powers
+from .crosscorr import (check_integers, check_sweep_grid, power_grid,
+                        sweep_powers)
 from .errors import (ConfigInvalid, InsufficientPoints, InvalidTicks,
                      LagOutOfRange, NoConvergence, NonPositiveData,
                      NonPositiveSigma, RetvolError)
@@ -29,10 +30,11 @@ _FIT_FAILURES = (InsufficientPoints, NonPositiveData, NonPositiveSigma,
 @dataclass
 class AnalysisConfig:
     """Analysis grid and settings; `workers` threads the CC and jackknife
-    pass over powers and never changes a result. Each setting but the
-    jackknife block count is checked here, delta_t, the gap policy, the d
-    grid and the lags by the same checks `resample`, `apply_gap_policy`
-    and every sweep run; a bad one raises ConfigInvalid naming its flag."""
+    pass over powers and never changes a result. Each setting is checked
+    here, delta_t, the gap policy, the d grid and the lags by the same
+    checks `resample`, `apply_gap_policy` and every sweep run, and the
+    jackknife block count only for being an integer (its range is checked
+    after the series'); a bad one raises ConfigInvalid naming its flag."""
 
     delta_t: int = 120
     gap_policy: str = CARRY_FORWARD
@@ -49,6 +51,9 @@ class AnalysisConfig:
         check_delta_t(self.delta_t)
         check_gap_policy(self.gap_policy)
         check_sweep_grid(self.d_grid, self.lag_min, self.lag_max)
+        check_integers("fit range (--fit-range LO:HI)", self.fit_lo, self.fit_hi)
+        check_integers("jackknife blocks (--jk-blocks)", self.jk_blocks)
+        check_integers("workers (--workers)", self.workers)
         if self.fit_lo > self.fit_hi or self.fit_hi < 1:
             raise ConfigInvalid("fit range (--fit-range LO:HI) needs "
                                 "LO <= HI and HI >= 1")

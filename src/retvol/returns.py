@@ -97,6 +97,6 @@ def abs_power(r, d):
     if not d > 0:
         raise ConfigInvalid(f"power d must be > 0, got {d}")
     values = r.values if isinstance(r, NormalizedReturns) else np.asarray(r)
-    powered = np.abs(values)
+    powered = np.abs(values, dtype=np.float64)
     powered **= float(d)
     return powered

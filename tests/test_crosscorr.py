@@ -5,10 +5,8 @@ import pytest
 
 from oracles import oracle_cc
 from retvol import errors
-from retvol import crosscorr
 from retvol.crosscorr import (correlation_profile, cross_correlation,
-                              next_fast_len, power_grid, sweep_powers,
-                              _profile_values)
+                              power_grid, sweep_powers, _profile_values)
 from retvol.jackknife import JackknifeConfig, sweep_with_sigmas
 from retvol.returns import NormalizedReturns, abs_power, standardize
 from retvol.returns import ReturnSeries
@@ -90,25 +88,17 @@ def test_profile_matches_single_lag_exactly():
     assert np.array_equal(prof.pair_counts, 1000 - np.abs(prof.lags))
 
 
-def no_direct_sums(*args):
-    raise AssertionError("per-lag dot products where the FFT should run")
-
-
-def test_fft_agrees_with_direct(monkeypatch):
-    # a profile this wide takes the FFT; a single lag always the dot product
+def test_wide_profile_matches_single_lags_bit_for_bit():
     nr = normalized(4, 5000)
     for d in (0.3, 1.0, 2.7):
-        with monkeypatch.context() as m:
-            m.setattr(crosscorr, "_lag_sums_direct", no_direct_sums)
-            prof = correlation_profile(nr, d, -64, 64)
+        prof = correlation_profile(nr, d, -200, 200)
         pw = abs_power(nr, d)
-        direct = [cross_correlation(nr, pw, int(j)) for j in prof.lags]
-        assert np.max(np.abs(prof.values - direct)) < 1e-13
+        single = [cross_correlation(nr, pw, int(j)) for j in prof.lags]
+        assert np.array_equal(prof.values, single)
 
 
-def test_fft_matches_oracle_at_scale(monkeypatch):
+def test_wide_profile_matches_oracle_at_scale():
     nr = normalized(44, 30000)
-    monkeypatch.setattr(crosscorr, "_lag_sums_direct", no_direct_sums)
     prof = correlation_profile(nr, 1.4, -200, 200)
     for j in (-200, -57, -3, 0, 5, 16, 133, 200):
         assert abs(prof.value_at(j) - oracle_cc(nr.values, 1.4, j)) < 1e-10
@@ -122,7 +112,7 @@ def test_sign_antisymmetry_is_exact():
         b = correlation_profile(NormalizedReturns(nr.values, 0.0, 1.0), d, -20, 20)
         assert np.array_equal(a.values, b.values)
         flipped = correlation_profile(neg, d, -20, 20)
-        assert np.max(np.abs(a.values + flipped.values)) < 1e-15
+        assert np.array_equal(a.values, -flipped.values)
 
 
 def test_lag_zero_is_bounded_pearson():
@@ -179,13 +169,6 @@ def test_sweep_matches_profiles_and_is_deterministic():
     assert np.array_equal(sweep.profile_for(1.0).values, lone.values)
 
 
-def test_next_fast_len_matches_scipy():
-    from scipy.fft import next_fast_len as oracle
-    sample = np.random.default_rng(7).integers(20001, 10**7 + 1, 2000)
-    for n in list(range(1, 20001)) + sample.tolist():
-        assert next_fast_len(n) == oracle(n, real=True), n
-
-
 def test_sweep_thirty_powers():
     nr = normalized(13, 2000)
     sweep = sweep_powers(nr, power_grid(), -5, 5)
@@ -200,7 +183,8 @@ def test_sweep_rejects_bad_grids(sweep):
     nr = normalized(14, 500)
     for grid, lo, hi in [([], -5, 5), ([0.5, 0.5], -5, 5),
                          ([2.0, 1.0], -5, 5), ([-1.0, 2.0], -5, 5),
-                         ([1.0], 1, 5)]:
+                         ([1.0], 1, 5), ([1.0], -5.5, 5), ([1.0], -5, 5.5),
+                         ([1.0], -math.inf, 5), ([1.0], -5, math.nan)]:
         with pytest.raises(errors.ConfigInvalid):
             sweep(nr, grid, lo, hi)
     with pytest.raises(errors.LagOutOfRange):

@@ -7,7 +7,7 @@ import pytest
 from oracles import oracle_jackknife_sigma
 from retvol import errors, jackknife
 from retvol.jackknife import (JackknifeConfig, block_bounds, jackknife_sigma,
-                              sweep_with_sigmas)
+                              next_fast_len, sweep_with_sigmas)
 from retvol.crosscorr import sweep_powers
 from retvol.returns import (NormalizedReturns, ReturnSeries, abs_power,
                             standardize)
@@ -22,10 +22,19 @@ def normalized(seed, n):
 def test_config_invariants():
     with pytest.raises(errors.ConfigInvalid):
         JackknifeConfig(n_blocks=1)
+    with pytest.raises(errors.ConfigInvalid, match="--jk-blocks"):
+        JackknifeConfig(n_blocks=10.5)
     cfg = JackknifeConfig(n_blocks=100)
     with pytest.raises(errors.ConfigInvalid):
         cfg.validate_for(1999)  # blocks of <20 points
     cfg.validate_for(2000)
+
+
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len as oracle
+    sample = np.random.default_rng(7).integers(20001, 10**7 + 1, 2000)
+    for n in list(range(1, 20001)) + sample.tolist():
+        assert next_fast_len(n) == oracle(n, real=True), n
 
 
 def test_block_bounds_partition():
@@ -225,7 +234,6 @@ def test_sweep_with_sigmas_computes_values_whatever_it_is_given():
     plain = sweep_powers(nr, grid, -40, 40)
     one = sweep_with_sigmas(nr, grid, -40, 40, JackknifeConfig(30), workers=1)
     many = sweep_with_sigmas(nr, grid, -40, 40, JackknifeConfig(30), workers=3)
-    assert np.array_equal(one.d_grid, plain.d_grid)
     for g, a, b in zip(plain.profiles, one.profiles, many.profiles):
         assert a.d == g.d and np.array_equal(a.lags, g.lags)
         assert np.max(np.abs(a.values - g.values)) < 1e-14

@@ -186,12 +186,17 @@ def test_report_bytes_identical_across_workers(tmp_path):
     {"d_grid": []}, {"lag_min": 1},
     {"fit_lo": 5, "fit_hi": 1}, {"fit_lo": -3, "fit_hi": 0},
     {"workers": 0}, {"workers": -1}, {"fit_filter": float("nan")},
-    {"fit_filter": -1.0}, {"fit_filter": float("inf")}], ids=[
+    {"fit_filter": -1.0}, {"fit_filter": float("inf")},
+    {"lag_min": -5.5}, {"lag_max": 5.5}, {"lag_min": float("-inf")},
+    {"fit_lo": float("nan")}, {"fit_hi": float("inf")}, {"jk_blocks": 10.5},
+    {"workers": 1.5}], ids=[
     "zero_delta_t", "unknown_gap_policy", "decreasing_d_grid", "empty_d_grid",
     "lags_without_0",
     "fit_range_reversed", "fit_range_below_1", "zero_workers",
     "negative_workers", "nan_fit_filter", "negative_fit_filter",
-    "infinite_fit_filter"])
+    "infinite_fit_filter", "fractional_lag_min", "fractional_lag_max",
+    "infinite_lag_min", "nan_fit_lo", "infinite_fit_hi",
+    "fractional_jk_blocks", "fractional_workers"])
 def test_bad_setting_is_rejected_when_the_config_is_built(bad):
     # nothing is analyzed: the bad setting fails before any data is seen
     with pytest.raises(ConfigInvalid) as info:

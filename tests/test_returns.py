@@ -88,6 +88,12 @@ def test_abs_power_basics():
     assert np.array_equal(abs_power(nr4, 0.5), [2.0])
 
 
+def test_abs_power_of_integers_is_float():
+    # the in-place power once failed to cast back into an int array
+    assert np.array_equal(abs_power(np.array([1, -2]), 2.0), [1.0, 4.0])
+    assert np.array_equal(abs_power([1, -4], 0.5), [1.0, 2.0])
+
+
 def test_abs_power_d1_is_abs():
     rng = np.random.default_rng(6)
     nr = NormalizedReturns(rng.normal(0, 1, 200), 0.0, 1.0)
