@@ -11,22 +11,21 @@ from .sampling import CARRY_FORWARD, DROP_INTERVAL
 from .synth import GarchSpec, gen_asym_garch, gen_iid_gaussian, ticks_from_returns
 
 
-def _span(n_fields, make):
-    """Argument type: `make` applied to n colon-separated floats."""
+def _span(n_fields, make, field=float):
+    """Argument type: `make` applied to n colon-separated `field`s."""
     def parse(text):
         parts = text.split(":")
         if len(parts) != n_fields:
             raise argparse.ArgumentTypeError(
                 f"expected {n_fields} colon-separated fields, got {text!r}")
         try:
-            return make(*map(float, parts))
+            return make(*map(field, parts))
         except (ValueError, OverflowError) as exc:
             raise argparse.ArgumentTypeError(f"bad span {text!r}: {exc}") from None
     return parse
 
 
-def _int_span(lo, hi):
-    return int(lo), int(hi)
+_int_span = _span(2, lambda lo, hi: (lo, hi), int)
 
 
 def _int_at_least(text, least=1):
@@ -52,11 +51,11 @@ def build_parser():
     an.add_argument("--d-grid", type=_span(3, power_grid), default="0.1:3.0:0.1",
                     metavar="LO:HI:STEP",
                     help="power grid for |r|^d (default 0.1:3.0:0.1)")
-    an.add_argument("--lags", type=_span(2, _int_span), default="-200:200",
+    an.add_argument("--lags", type=_int_span, default="-200:200",
                     metavar="LO:HI",
                     help="signed lag grid (default -200:200; write "
                          "--lags=-200:200 for negative bounds)")
-    an.add_argument("--fit-range", type=_span(2, _int_span), default="1:200",
+    an.add_argument("--fit-range", type=_int_span, default="1:200",
                     metavar="LO:HI",
                     help="positive-lag fit window (default 1:200)")
     an.add_argument("--jk-blocks", type=lambda t: _int_at_least(t, 2), default=100,

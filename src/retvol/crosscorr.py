@@ -20,7 +20,6 @@ whether here (`sweep_powers`) or in the jackknife.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +27,11 @@ import numpy as np
 from .errors import (ConfigInvalid, DegenerateVariance, LagOutOfRange,
                      LengthMismatch)
 from .returns import abs_power
+from .sampling import check_integers
 
 MIN_PAIRS = 10
+POWER_OVERFLOW = ("|r|^d has no finite standard deviation: a power d "
+                  "(--d-grid) is too large for this series")
 
 
 @dataclass
@@ -82,20 +84,23 @@ def power_grid(lo=0.1, hi=3.0, step=0.1):
 
 
 def _centered(x):
-    """Center by the full-series mean; raise if the series is constant."""
+    """Center by the full-series mean; raise unless sigma is finite, > 0."""
     x = np.asarray(x, dtype=np.float64)
     # cheap scalar guard first; the full scan only runs when it matches
     if x[0] == x[-1] and np.all(x == x[0]):
         raise DegenerateVariance("series is constant")
-    mu = x.mean()
-    xc = x - mu
-    sigma = math.sqrt(float(np.mean(xc * xc)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = x - x.mean()
+        sigma = math.sqrt(float(np.mean(xc * xc)))
+    if not math.isfinite(sigma):
+        raise ConfigInvalid(POWER_OVERFLOW)
     if sigma == 0.0:
         raise DegenerateVariance("series has zero variance")
     return xc, sigma
 
 
 def _check_lags(n, lags):
+    check_integers("lags", *lags)
     lags = np.asarray(lags, dtype=np.int64)
     pairs = n - np.abs(lags)
     if np.any(pairs < MIN_PAIRS):
@@ -140,24 +145,18 @@ def cross_correlation(r, pw, j):
         Fewer than 10 overlapping pairs at this lag.
     DegenerateVariance
         Either series is constant.
+    ConfigInvalid
+        j is not an integer, or either series has no finite sigma.
     LengthMismatch
         `pw` is not as long as `r`.
     """
-    values, _ = _profile_values(r.values, pw, [int(j)])
+    values, _ = _profile_values(r.values, pw, [j])
     return float(values[0])
 
 
 def correlation_profile(r, d, lag_min, lag_max):
     """CC_d(j) for every lag in [lag_min, lag_max]; the grid must straddle 0."""
     return sweep_powers(r, [d], lag_min, lag_max).profiles[0]
-
-
-def check_integers(name, *values):
-    """ConfigInvalid naming the setting `name` unless every value is a
-    Python or numpy int, so finite and whole."""
-    for v in values:
-        if not isinstance(v, numbers.Integral):
-            raise ConfigInvalid(f"{name} takes integers, got {v!r}")
 
 
 def check_sweep_grid(d_grid, lag_min, lag_max):

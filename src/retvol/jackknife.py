@@ -41,9 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crosscorr import (CorrelationProfile, SweepResult, _check_lags,
-                        check_integers, check_sweep_grid)
+from .crosscorr import (POWER_OVERFLOW, CorrelationProfile, SweepResult,
+                        _check_lags, check_sweep_grid)
 from .errors import ConfigInvalid, DegenerateVariance
+from .sampling import check_integers
 
 # rows go through the FFTs in cache-sized blocks of this many bytes
 _ROW_BLOCK_BYTES = 128 * 1024
@@ -51,20 +52,19 @@ _ROW_BLOCK_BYTES = 128 * 1024
 
 @dataclass(frozen=True)
 class JackknifeConfig:
-    """Delete-one-block block count; each block must keep >= 20 points."""
+    """Delete-one-block block count, an integer; `validate_for(N)` checks
+    it is 2 to N // 20, so that each block keeps >= 20 points."""
 
     n_blocks: int = 100
 
     def __post_init__(self):
         check_integers("jackknife blocks (--jk-blocks)", self.n_blocks)
-        if self.n_blocks < 2:
-            raise ConfigInvalid("jackknife blocks (--jk-blocks) must be >= 2")
 
     def validate_for(self, n):
-        if self.n_blocks > n // 20:
+        if not 2 <= self.n_blocks <= n // 20:
             raise ConfigInvalid(
-                f"n_blocks={self.n_blocks} too large for N={n}: "
-                f"each block must keep >= 20 points")
+                f"jackknife blocks (--jk-blocks) must be 2 to N // 20 = {n // 20}"
+                f" at N={n}, each block >= 20 points; got {self.n_blocks}")
 
 
 def block_bounds(n, n_blocks):
@@ -139,10 +139,13 @@ class _Deletions:
             raise DegenerateVariance("series is constant")
 
         shifted = self.scratch("shifted", len(v) + 1)
-        v = np.subtract(v, v.mean(), out=shifted[:-1])
-        sq = np.multiply(v, v, out=self.scratch("sq", len(v)))
-        # the global moment of `_centered`, which the CC values use
-        sd = math.sqrt(float(np.mean(sq)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = np.subtract(v, v.mean(), out=shifted[:-1])
+            sq = np.multiply(v, v, out=self.scratch("sq", len(v)))
+            # the global moment of `_centered`, which the CC values use
+            sd = math.sqrt(float(np.mean(sq)))
+        if not math.isfinite(sd):
+            raise ConfigInvalid(POWER_OVERFLOW)
         total, squares = (a.sum() - a for a in (
             np.add.reduceat(v, self.starts), np.add.reduceat(sq, self.starts)))
         mu = total / self.m
@@ -196,6 +199,11 @@ def _row_blocks(n_rows, nfft):
 def _sweep(r, ds, lags, cfg, workers=1):
     """CC_d(j) and its jackknife sigma, each (len(ds), len(lags)), per d in ds."""
     series = np.asarray(r.values, dtype=np.float64)
+    # a constant |r|, so |r|^d, comes before the block count; real data
+    # fails the scalar guard and is spared the scan
+    if len(series) and abs(series[0]) == abs(series[-1]) and np.all(
+            np.abs(series) == abs(series[0])):
+        raise DegenerateVariance("series is constant")
     cfg.validate_for(len(series))
     dl = _Deletions(len(series), cfg.n_blocks, lags)
     full_pairs = len(series) - np.abs(dl.lags)
@@ -224,7 +232,8 @@ def _sweep(r, ds, lags, cfg, workers=1):
     def one(d):
         # |r|^d goes into the zero-padded buffer and is centred in place
         y = np.abs(series, out=dl.scratch("shifted", len(x))[:-1])
-        y **= d
+        with np.errstate(over="ignore"):  # moments reports an overflow
+            y **= d
         y, sdy, ty, my, sy, yends = dl.moments(y)
         # acc[b] starts as P_b; junction[p] is J(s_p) (0 at both ends),
         # splice[b] Sp_b and straddle[b] X_b (0 for the end blocks)
@@ -288,26 +297,13 @@ def _sweep(r, ds, lags, cfg, workers=1):
 
 
 def jackknife_sigma(r, d, lags, cfg=JackknifeConfig()):
-    """One-sigma jackknife errors of CC_d(j) at the given lags.
+    """One-sigma jackknife errors sigma(j) >= 0 of CC_d(j), d > 0, at the
+    signed integer lags `lags` (as in `cross_correlation`), in their order.
 
     For each of the B blocks, CC_d(j) is recomputed with that block
     deleted (theta_b); the variance estimate is
 
         sigma^2(j) = (B - 1) / B * sum_b (theta_b - mean_b theta)^2
-
-    Parameters
-    ----------
-    r : NormalizedReturns
-    d : float
-        Power applied to absolute returns.
-    lags : sequence of int
-        Signed lags, same convention as `cross_correlation`.
-    cfg : JackknifeConfig
-
-    Returns
-    -------
-    numpy.ndarray
-        sigma(j) >= 0 aligned with `lags`.
     """
     if not d > 0:
         raise ConfigInvalid(f"power d must be > 0, got {d}")
@@ -323,7 +319,12 @@ def sweep_with_sigmas(r, d_grid, lag_min, lag_max, cfg=JackknifeConfig(),
     power gives both values and sigmas. The values agree with
     `sweep_powers` to rounding, and each profile's sigmas equal
     `jackknife_sigma` at its power bit for bit. The powers are spread
-    over `workers` threads, which changes no result.
+    over `workers` threads, which changes no result. A good grid can
+    still fail on the series, in this order: LagOutOfRange (< 10 pairs),
+    DegenerateVariance (constant |r|), ConfigInvalid (block count not 2
+    to N // 20), LagOutOfRange (< 10 pairs once a block is deleted), then
+    each power's moments: ConfigInvalid (no finite sigma of |r|^d) or
+    DegenerateVariance (a deletion leaves a series without variance).
     """
     ds = check_sweep_grid(d_grid, lag_min, lag_max)
     lags, pairs = _check_lags(len(r), np.arange(lag_min, lag_max + 1))

@@ -6,11 +6,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .crosscorr import (check_integers, check_sweep_grid, power_grid,
-                        sweep_powers)
+# sweep_powers's one reader is perfbench's tracer (test_perfbench_names.py)
+from .crosscorr import check_sweep_grid, power_grid, sweep_powers
 from .errors import (ConfigInvalid, InsufficientPoints, InvalidTicks,
-                     LagOutOfRange, NoConvergence, NonPositiveData,
-                     NonPositiveSigma, RetvolError)
+                     NoConvergence, NonPositiveData, NonPositiveSigma,
+                     RetvolError)
 from .fitting import (EXPONENTIAL, POWER_LAW, FitPoints, compare_models,
                       fit_exponential, fit_points_from_profile, fit_power_law,
                       fit_quadratic_gamma, long_range_flag)
@@ -19,7 +19,7 @@ from .jackknife import JackknifeConfig, sweep_with_sigmas
 from .report import AnalysisReport, write_report
 from .returns import (apply_gap_policy, check_gap_policy, log_returns,
                       standardize)
-from .sampling import CARRY_FORWARD, check_delta_t, resample
+from .sampling import CARRY_FORWARD, check_delta_t, check_integers, resample
 
 
 # a fit that fails this way leaves only that fit unavailable
@@ -33,8 +33,8 @@ class AnalysisConfig:
     pass over powers and never changes a result. Each setting is checked
     here, delta_t, the gap policy, the d grid and the lags by the same
     checks `resample`, `apply_gap_policy` and every sweep run, and the
-    jackknife block count only for being an integer (its range is checked
-    after the series'); a bad one raises ConfigInvalid naming its flag."""
+    jackknife block count for being an integer (the sweep checks its range
+    against the series); a bad one raises ConfigInvalid naming its flag."""
 
     delta_t: int = 120
     gap_policy: str = CARRY_FORWARD
@@ -110,23 +110,17 @@ def analyze_ticks(ticks, cfg=AnalysisConfig()):
     """Run the full analysis on a tick series; returns an AnalysisReport.
 
     Raises InvalidTicks for a series that is not sorted by timestamp or
-    holds a price that is not finite and > 0."""
+    holds a price that is not finite and > 0, and the sweep's errors in
+    the order `sweep_with_sigmas` gives."""
     _check_ticks(ticks)
     ticks = deduplicate(ticks)
     prices = resample(ticks, cfg.delta_t)
     rets = apply_gap_policy(log_returns(prices), cfg.gap_policy)
     r = standardize(rets)
 
-    try:
-        jk = JackknifeConfig(n_blocks=cfg.jk_blocks)
-        sweep = sweep_with_sigmas(r, cfg.d_grid, cfg.lag_min, cfg.lag_max,
-                                  cfg=jk, workers=cfg.workers)
-    except (ConfigInvalid, LagOutOfRange):
-        # cfg has passed the grid and lag-0 checks, so a full-series lag
-        # range is reported first, then a constant series, then a block
-        # count or a lag range that only the deletions rule out
-        sweep_powers(r, cfg.d_grid, cfg.lag_min, cfg.lag_max)
-        raise
+    sweep = sweep_with_sigmas(r, cfg.d_grid, cfg.lag_min, cfg.lag_max,
+                              cfg=JackknifeConfig(n_blocks=cfg.jk_blocks),
+                              workers=cfg.workers)
 
     power_fits, exp_fits, comparisons, long_range, failed = {}, {}, {}, {}, []
     for prof in sweep.profiles:

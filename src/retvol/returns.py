@@ -98,5 +98,6 @@ def abs_power(r, d):
         raise ConfigInvalid(f"power d must be > 0, got {d}")
     values = r.values if isinstance(r, NormalizedReturns) else np.asarray(r)
     powered = np.abs(values, dtype=np.float64)
-    powered **= float(d)
+    with np.errstate(over="ignore"):  # sigma checks report an overflow
+        powered **= float(d)
     return powered

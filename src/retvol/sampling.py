@@ -1,5 +1,6 @@
 """Fixed-interval price grids from irregular ticks (previous-tick sampling)."""
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,14 +49,19 @@ class PriceSeries:
         return float(np.mean(self.gap_mask))
 
 
+def check_integers(name, *values):
+    """ConfigInvalid naming the setting `name` unless each value is an int."""
+    for v in values:
+        if not isinstance(v, numbers.Integral):
+            raise ConfigInvalid(f"{name} takes integers, got {v!r}")
+
+
 def check_delta_t(delta_t):
-    """delta_t as an int; ConfigInvalid unless it is a number >= 1 second."""
-    try:
-        if int(delta_t) >= 1:
-            return int(delta_t)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigInvalid("delta_t (--delta-t) must be >= 1 second")
+    """delta_t as an int; ConfigInvalid unless it is an integer >= 1 second."""
+    check_integers("delta_t (--delta-t)", delta_t)
+    if delta_t < 1:
+        raise ConfigInvalid("delta_t (--delta-t) must be >= 1 second")
+    return int(delta_t)
 
 
 def resample(ticks, delta_t):
@@ -82,7 +88,7 @@ def resample(ticks, delta_t):
     Raises
     ------
     ConfigInvalid
-        delta_t < 1.
+        delta_t is not an integer >= 1.
     InsufficientData
         Fewer than 2 grid points are covered by the ticks.
     InvalidTicks

@@ -75,6 +75,8 @@ def test_bad_grid_argument(tmp_path, capsys):
     "--jk-blocks=1",       # a jackknife needs two blocks
     "--jk-blocks=0",
     "--jk-blocks=-3",
+    "--lags=-5.5:5.9",     # lags are integers
+    "--fit-range=1:2.7",
 ])
 def test_bad_flag_is_a_usage_error(tmp_path, capsys, flag):
     # the input does not exist: the flag is rejected before it is read
@@ -101,6 +103,21 @@ def test_bad_setting_is_a_usage_error_before_the_input_is_read(
     assert "usage:" in err and "retvol analyze: error:" in err
     assert f"({flag.split('=')[0]}" in err
     assert not (tmp_path / "y").exists()
+
+
+@pytest.mark.parametrize("grid", ["1:300:299", "1:600:599"])
+def test_power_too_large_for_the_series_fails_cleanly(tmp_path, capsys, grid):
+    # sigma of |r|^d overflowed: the profiles held nan sigmas and CC values
+    # of nan or +-0.0, and the run exited 0
+    csv = tmp_path / "t.csv"
+    assert main(["synth", "--n", "20000", "--seed", "3", "--out",
+                 str(csv)]) == 0
+    rc = main(["analyze", "--input", str(csv), "--d-grid", grid,
+               "--lags=-20:20", "--jk-blocks", "20",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "--d-grid" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_nonstationary_spec_fails_cleanly(tmp_path, capsys):

@@ -7,7 +7,7 @@ from oracles import oracle_cc
 from retvol import errors
 from retvol.crosscorr import (correlation_profile, cross_correlation,
                               power_grid, sweep_powers, _profile_values)
-from retvol.jackknife import JackknifeConfig, sweep_with_sigmas
+from retvol.jackknife import JackknifeConfig, jackknife_sigma, sweep_with_sigmas
 from retvol.returns import NormalizedReturns, abs_power, standardize
 from retvol.returns import ReturnSeries
 from retvol.rng import standard_normals
@@ -175,16 +175,26 @@ def test_sweep_thirty_powers():
     assert len(sweep.profiles) == 30
 
 
-@pytest.mark.parametrize("sweep", [
-    sweep_powers,
-    lambda *args: sweep_with_sigmas(*args, cfg=JackknifeConfig(5)),
-], ids=["sweep_powers", "sweep_with_sigmas"])
-def test_sweep_rejects_bad_grids(sweep):
+BAD_GRIDS = [([], -5, 5), ([0.5, 0.5], -5, 5), ([2.0, 1.0], -5, 5),
+             ([-1.0, 2.0], -5, 5), ([1.0], 1, 5), ([1.0], -5.5, 5),
+             ([1.0], -5, 5.5), ([1.0], -math.inf, 5), ([1.0], -5, math.nan)]
+
+
+# the single-power calls take the first power and the lag bounds as lags
+@pytest.mark.parametrize("sweep,bad", [
+    (sweep_powers, BAD_GRIDS),
+    (lambda *args: sweep_with_sigmas(*args, cfg=JackknifeConfig(5)),
+     BAD_GRIDS),
+    (lambda nr, grid, lo, hi: cross_correlation(nr, abs_power(nr, grid[0]),
+                                                hi), [([1.0], 0, 1.7)]),
+    (lambda nr, grid, lo, hi: jackknife_sigma(nr, grid[0], [lo, hi],
+                                              JackknifeConfig(5)),
+     [([1.0], 0, 1.7), ([1.0], -1.7, 0)]),
+], ids=["sweep_powers", "sweep_with_sigmas", "cross_correlation",
+        "jackknife_sigma"])
+def test_sweep_rejects_bad_grids(sweep, bad):
     nr = normalized(14, 500)
-    for grid, lo, hi in [([], -5, 5), ([0.5, 0.5], -5, 5),
-                         ([2.0, 1.0], -5, 5), ([-1.0, 2.0], -5, 5),
-                         ([1.0], 1, 5), ([1.0], -5.5, 5), ([1.0], -5, 5.5),
-                         ([1.0], -math.inf, 5), ([1.0], -5, math.nan)]:
+    for grid, lo, hi in bad:
         with pytest.raises(errors.ConfigInvalid):
             sweep(nr, grid, lo, hi)
     with pytest.raises(errors.LagOutOfRange):
@@ -196,3 +206,12 @@ def test_profile_requires_zero_straddling_range():
     with pytest.raises(ValueError):
         correlation_profile(nr, 2.0, 1, 10)
 
+
+
+@pytest.mark.parametrize("d", [300.0, 600.0])
+def test_powered_series_without_a_finite_sigma_is_a_typed_error(d):
+    # |r|^300 squares past the float range and |r|^600 is inf itself; the
+    # CC values were +-0.0 or nan
+    nr = normalized(16, 2000)
+    with pytest.raises(errors.ConfigInvalid, match="--d-grid"):
+        correlation_profile(nr, d, -2, 2)

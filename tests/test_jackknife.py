@@ -21,7 +21,7 @@ def normalized(seed, n):
 
 def test_config_invariants():
     with pytest.raises(errors.ConfigInvalid):
-        JackknifeConfig(n_blocks=1)
+        JackknifeConfig(n_blocks=1).validate_for(2000)
     with pytest.raises(errors.ConfigInvalid, match="--jk-blocks"):
         JackknifeConfig(n_blocks=10.5)
     cfg = JackknifeConfig(n_blocks=100)
@@ -179,6 +179,18 @@ def test_degenerate_series_name_their_fault(values, message):
         with pytest.raises(errors.DegenerateVariance) as info:
             run()
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("d", [300.0, 600.0])
+def test_powered_series_without_a_finite_sigma_is_a_typed_error(d):
+    # |r|^300 squares past the float range and |r|^600 is inf itself; the
+    # CC values were +-0.0 or nan and the sigmas nan
+    nr = normalized(16, 2000)
+    for run in (lambda: jackknife_sigma(nr, d, [-2, 0, 1], JackknifeConfig(20)),
+                lambda: sweep_with_sigmas(nr, [1.0, d], -2, 2,
+                                          JackknifeConfig(20), workers=2)):
+        with pytest.raises(errors.ConfigInvalid, match="--d-grid"):
+            run()
 
 
 def test_tiled_blocks_give_zero_sigma_at_every_power():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import oracle_cc
-from retvol import pipeline
+from retvol import crosscorr, pipeline
 from retvol.errors import (ConfigInvalid, DegenerateVariance, InvalidTicks,
                            LagOutOfRange, NoConvergence)
 from retvol.fitting import fit_exponential, fit_points_from_profile
@@ -189,14 +189,15 @@ def test_report_bytes_identical_across_workers(tmp_path):
     {"fit_filter": -1.0}, {"fit_filter": float("inf")},
     {"lag_min": -5.5}, {"lag_max": 5.5}, {"lag_min": float("-inf")},
     {"fit_lo": float("nan")}, {"fit_hi": float("inf")}, {"jk_blocks": 10.5},
-    {"workers": 1.5}], ids=[
+    {"workers": 1.5}, {"delta_t": 120.5}, {"delta_t": "120"}], ids=[
     "zero_delta_t", "unknown_gap_policy", "decreasing_d_grid", "empty_d_grid",
     "lags_without_0",
     "fit_range_reversed", "fit_range_below_1", "zero_workers",
     "negative_workers", "nan_fit_filter", "negative_fit_filter",
     "infinite_fit_filter", "fractional_lag_min", "fractional_lag_max",
     "infinite_lag_min", "nan_fit_lo", "infinite_fit_hi",
-    "fractional_jk_blocks", "fractional_workers"])
+    "fractional_jk_blocks", "fractional_workers", "fractional_delta_t",
+    "string_delta_t"])
 def test_bad_setting_is_rejected_when_the_config_is_built(bad):
     # nothing is analyzed: the bad setting fails before any data is seen
     with pytest.raises(ConfigInvalid) as info:
@@ -286,3 +287,16 @@ def test_constant_series_before_blocks_and_reduced_lags(blocks, lag_max):
 def test_block_count_checked_last(blocks):
     ticks = garch_ticks(n=400, seed=13)
     assert analysis_error(ticks, jk_blocks=blocks) is ConfigInvalid
+
+
+def test_sweep_errors_are_raised_without_a_second_cc_pass(monkeypatch):
+    # the engine orders its own errors; no dot-product pass re-runs the
+    # CC values to choose which one to report
+    def refuse(*args):
+        raise AssertionError("the dot-product CC path ran")
+
+    monkeypatch.setattr(crosscorr, "_profile_values", refuse)
+    ticks = garch_ticks(n=400, seed=13)
+    assert analysis_error(ticks, jk_blocks=50) is ConfigInvalid
+    # 100 pairs at lag 300 in the full series, 0 once a block is deleted
+    assert analysis_error(ticks, lag_max=300, jk_blocks=4) is LagOutOfRange
